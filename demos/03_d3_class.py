@@ -11,7 +11,6 @@ these rules, so membership is decidable by search.
 from domchrom import (
     D3Blueprint,
     build_d3,
-    classify_dk,
     compute_report,
     enumerate_d3_blueprints,
     is_in_class_d3,
@@ -38,7 +37,7 @@ for bp in enumerate_d3_blueprints(3, 4):
     first = first or bp
 print("valid blueprints at (3,4):", total)
 g, lab = build_d3(first)
-print("first one builds:", to_graph6(g), "-> D(%s)" % classify_dk(g).dk)
+print("first one builds:", to_graph6(g), "-> D(%s)" % compute_report(g).dk)
 
 print()
 print("== every built member is D(3) ==")

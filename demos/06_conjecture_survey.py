@@ -11,7 +11,7 @@ Building the order-8 stream takes a few seconds; the rest is fast.
 """
 
 from domchrom import (
-    classify_dk,
+    compute_report,
     enumerate_connected,
     extend_connected,
     is_in_class_d3,
@@ -37,7 +37,7 @@ print("smallest order found:", survey["smallest_order"])
 print("witness:", survey["witness_graph6"])
 
 w = parse_graph6(survey["witness_graph6"])
-report = classify_dk(w)
+report = compute_report(w)
 print()
 print("the witness re-verified: gamma=%d chi=%d chi_d=%d -> D(%d)"
       % (report.gamma, report.chi, report.chi_d, report.dk))

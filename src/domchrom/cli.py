@@ -163,7 +163,7 @@ def _cmd_verify(args) -> int:
             exit_code = EXIT_PROPERTY_FALSE
     if args.d3_membership:
         ran_any = True
-        deadline = _deadline_from_env()
+        deadline = _env_number("DOMCHROM_DEADLINE_SECS", float, None)
         bp = is_in_class_d3(g, deadline_secs=deadline)
         payload = {"check": "d3-membership", "verdict": bp is not None}
         if bp is not None:
@@ -191,21 +191,22 @@ def _cmd_verify(args) -> int:
     return exit_code
 
 
-def _deadline_from_env() -> float | None:
-    raw = os.environ.get("DOMCHROM_DEADLINE_SECS")
+def _env_number(name: str, kind: type, default):
+    """The environment variable parsed as `kind`, or `default` when unset or empty."""
+    raw = os.environ.get(name)
     if not raw:
-        return None
+        return default
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise GraphError(f"DOMCHROM_DEADLINE_SECS must be a number, got {raw!r}") from exc
+        raise GraphError(f"{name} must be a number of type {kind.__name__}, got {raw!r}") from exc
 
 
 def _cmd_scan(args) -> int:
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     jobs = args.jobs
     if jobs is None:
-        jobs = int(os.environ.get("DOMCHROM_JOBS", "1"))
+        jobs = _env_number("DOMCHROM_JOBS", int, 1)
     if args.builtin is not None:
         from .enumeration import enumerate_connected
 

@@ -1,14 +1,15 @@
 """Exact computation of the five invariants: gamma, gamma_t, chi, chi_d, chi_dom.
 
 Solver strategy: domination numbers by branch-and-bound on the set of
-undominated vertices; chromatic numbers by iterative deepening on k seeded
-with a maximum-clique lower bound; the dominator/dominated variants reuse
-the coloring backtracking skeleton with their side constraint propagated
-incrementally. Every solver is paired with a deterministic witness
-extraction: the witness returned is the lexicographically least optimal one
-(dominating sets compared as sorted vertex tuples, colorings by their
-vertex-to-class assignment sequence with classes numbered in order of first
-appearance).
+undominated vertices. The chromatic numbers share one coloring search,
+clique vertices first and then by degree, with the dominator/dominated side
+constraint propagated incrementally; given a forced prefix (vertices 0..v in
+fixed classes) it is a prefix oracle. Iterative deepening on k from the
+clique bound finds each number. Lex-least witnesses and the enumeration of
+all optimal colorings walk prefixes in identity order, entering a branch
+only when the oracle completes it. Witnesses are the lexicographically least
+optimal ones (dominating sets compared as sorted vertex tuples, colorings by
+their vertex-to-class assignment sequence, classes numbered by first use).
 
 Convention: a vertex dominates its own color class only when that class is
 exactly the singleton {v}. Cross-class domination always means "adjacent to
@@ -357,7 +358,7 @@ def max_clique(g: Graph) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Coloring backtracking skeletons
+# Coloring search: one prefix oracle for feasibility, witnesses and enumeration
 
 _MODE_PROPER = 0
 _MODE_DOMINATOR = 1
@@ -369,162 +370,181 @@ def _solve_coloring(
     k: int,
     mode: int,
     order: tuple[int, ...],
-    enumerate_all: bool = False,
-) -> Iterator[tuple[int, ...]]:
-    """Backtracking over colorings with exactly k classes, following `order`.
+    prefix: tuple[int, ...] = (),
+) -> tuple[int, ...] | None:
+    """First coloring with exactly k classes that extends `prefix`, or None.
 
-    Yields the class member masks of each solution. With enumerate_all=False
-    the search stops after the first solution. Classes are numbered in order
-    of first use, so with `order = (0, 1, ..., n-1)` solutions appear in
-    lexicographic order of their assignment sequences.
+    Vertices 0..len(prefix)-1 take the classes given in `prefix`, numbered by
+    first use; the other vertices are searched in `order`. The solution is
+    its class-per-vertex assignment, with the prefix's classes as given and
+    the others numbered by first use along `order`.
     """
     n = g.n
     if k <= 0 or k > n:
-        return
+        return None
     full = (1 << n) - 1
     adj = g.adj
     members = [0] * k
     cls = [-1] * n
-    all_k = (1 << k) - 1
     # dominator mode: classes v could still fully dominate
-    pot = [all_k] * n
+    pot = [(1 << k) - 1] * n
     # dominated mode: vertices still adjacent to all of the class
     dominators = [full] * k
 
-    def place(v: int, c: int) -> tuple[bool, list[tuple[int, int]]]:
-        """Apply the assignment, returning (ok, undo log)."""
-        undo: list[tuple[int, int]] = []
+    def place(v: int, c: int) -> tuple[bool, list[tuple[list[int], int, int]]]:
+        """Apply the assignment, returning (ok, undo log of overwritten entries)."""
+        undo: list[tuple[list[int], int, int]] = []
         prev = members[c]
         members[c] |= 1 << v
         cls[v] = c
         ok = True
         if mode == _MODE_DOMINATOR:
             cbit = 1 << c
-            non_nbrs = full & ~adj[v]
-            for u in iter_bits(non_nbrs):
+            for u in iter_bits(full & ~adj[v]):
                 if pot[u] & cbit:
-                    undo.append((u, pot[u]))
+                    undo.append((pot, u, pot[u]))
                     pot[u] &= ~cbit
-                    if pot[u] == 0:
-                        if cls[u] == -1:
-                            ok = False
-                        elif members[cls[u]] != 1 << u:
-                            ok = False
+                    # u can dominate no class now; only being a singleton saves it
+                    if pot[u] == 0 and (cls[u] == -1 or members[cls[u]] != 1 << u):
+                        ok = False
             if ok and prev and prev.bit_count() == 1:
-                w = prev.bit_length() - 1
-                if pot[w] == 0:
-                    ok = False
+                # the class's earlier sole member is no longer a singleton
+                ok = pot[prev.bit_length() - 1] != 0
         elif mode == _MODE_DOMINATED:
-            undo.append((c, dominators[c]))
-            if prev == 0:
-                dominators[c] = adj[v]
-            else:
-                dominators[c] &= adj[v]
-            if dominators[c] == 0:
-                ok = False
+            undo.append((dominators, c, dominators[c]))
+            dominators[c] &= adj[v]
+            ok = dominators[c] != 0
         return ok, undo
 
-    def unplace(v: int, c: int, undo: list[tuple[int, int]]) -> None:
+    def unplace(v: int, c: int, undo: list[tuple[list[int], int, int]]) -> None:
         members[c] &= ~(1 << v)
         cls[v] = -1
-        if mode == _MODE_DOMINATOR:
-            for u, old in undo:
-                pot[u] = old
-        elif mode == _MODE_DOMINATED:
-            for c2, old in undo:
-                dominators[c2] = old
+        for state, i, old in undo:
+            state[i] = old
 
-    def backtrack(pos: int, used: int) -> Iterator[tuple[int, ...]]:
-        if pos == n:
-            if used == k:
-                yield tuple(members)
-            return
-        if used + (n - pos) < k:
-            return
-        v = order[pos]
-        limit = used + 1 if used < k else k
-        for c in range(limit):
+    for v, c in enumerate(prefix):
+        if members[c] & adj[v] or not place(v, c)[0]:
+            return None
+    rest = tuple(v for v in order if v >= len(prefix)) if prefix else order
+    m = len(rest)
+
+    def backtrack(pos: int, used: int) -> bool:
+        if pos == m:
+            return used == k
+        if used + (m - pos) < k:
+            return False
+        v = rest[pos]
+        for c in range(min(used + 1, k)):
             if members[c] & adj[v]:
                 continue
             ok, undo = place(v, c)
-            if ok:
-                yield from backtrack(pos + 1, max(used, c + 1))
+            if ok and backtrack(pos + 1, max(used, c + 1)):
+                return True
             unplace(v, c, undo)
+        return False
 
-    if enumerate_all:
-        yield from backtrack(0, 0)
-    else:
-        for solution in backtrack(0, 0):
-            yield solution
+    return tuple(cls) if backtrack(0, max(prefix, default=-1) + 1) else None
+
+
+def _renumbered(assignment: tuple[int, ...]) -> tuple[int, ...]:
+    """The assignment with classes numbered by first appearance."""
+    relabel: dict[int, int] = {}
+    return tuple(relabel.setdefault(c, len(relabel)) for c in assignment)
+
+
+def _lex_colorings(
+    g: Graph, k: int, mode: int, order: tuple[int, ...], first: tuple[int, ...]
+) -> Iterator[Coloring]:
+    """Every coloring with exactly k classes, in lexicographic order of
+    assignment sequences; `first` is any one of them, in any numbering.
+
+    Depth-first over prefixes: vertex v tries each class no earlier neighbour
+    holds, entering the branch when `_solve_coloring` completes the prefix.
+    The completion in hand serves its own branch without a call.
+    """
+    n = g.n
+    prefix: list[int] = []
+
+    def extend(v: int, completion: tuple[int, ...], used: int) -> Iterator[Coloring]:
+        if v == n:
+            yield Coloring.from_classes(
+                [u for u, c in enumerate(prefix) if c == i] for i in range(k)
+            )
             return
+        taken = {prefix[u] for u in iter_bits(g.adj[v] & ((1 << v) - 1))}
+        for c in range(min(used + 1, k)):
+            if c in taken:
+                continue
+            found = completion
+            if c != completion[v]:
+                found = _solve_coloring(g, k, mode, order, tuple(prefix) + (c,))
+                if found is None:
+                    continue
+                found = _renumbered(found)
+            prefix.append(c)
+            yield from extend(v + 1, found, max(used, c + 1))
+            prefix.pop()
+
+    yield from extend(0, _renumbered(first), 0)
 
 
-def _search_order(g: Graph, clique_mask: int) -> tuple[int, ...]:
-    """Clique vertices first, then remaining by degree descending."""
+def _proper_stage(g: Graph) -> tuple[tuple[int, ...], int, Iterator[Coloring]]:
+    """The search order shared by all three modes (a maximum clique's vertices
+    first, then the rest by degree descending), chi, and the chi-colorings."""
+    size, clique_mask = max_clique(g)
     clique = sorted(iter_bits(clique_mask))
     rest = sorted(
         (v for v in range(g.n) if not clique_mask >> v & 1),
         key=lambda v: (-g.degree(v), v),
     )
-    return tuple(clique + rest)
+    order = tuple(clique + rest)
+    return (order, *_optimal_colorings(g, _MODE_PROPER, order, size))
 
 
-def _feasible(g: Graph, k: int, mode: int, order: tuple[int, ...]) -> bool:
-    for _ in _solve_coloring(g, k, mode, order):
-        return True
-    return False
+def _optimal_colorings(
+    g: Graph, mode: int, order: tuple[int, ...], k: int
+) -> tuple[int, Iterator[Coloring]]:
+    """Least k' >= k with a coloring of the mode, and a lazy iterator over all
+    such colorings in lexicographic order, the lex-least witness first."""
+    while (first := _solve_coloring(g, k, mode, order)) is None:
+        k += 1
+    return k, _lex_colorings(g, k, mode, order, first)
 
 
-def _lex_witness(g: Graph, k: int, mode: int) -> Coloring:
-    identity = tuple(range(g.n))
-    for masks in _solve_coloring(g, k, mode, identity):
-        return Coloring.from_masks(masks)
-    raise AssertionError("no coloring at the optimal k; solver bug")
+def _require_connected(g: Graph, what: str) -> None:
+    if g.n == 0:
+        raise GraphError(f"{what} is undefined for the empty graph")
+    if not is_connected(g):
+        raise DisconnectedError(f"{what} requires a connected graph")
 
 
 def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     if g.n == 0:
         raise GraphError("chromatic number is undefined for the empty graph")
-    lb, clique_mask = max_clique(g)
-    order = _search_order(g, clique_mask)
-    k = lb
-    while not _feasible(g, k, _MODE_PROPER, order):
-        k += 1
-    return k, _lex_witness(g, k, _MODE_PROPER)
+    _, chi, colorings = _proper_stage(g)
+    return chi, next(colorings)
+
+
+def _dominator_colorings(g: Graph) -> tuple[int, Iterator[Coloring]]:
+    _require_connected(g, "dominator chromatic number")
+    order, chi, _ = _proper_stage(g)  # chi(G) is a lower bound
+    return _optimal_colorings(g, _MODE_DOMINATOR, order, chi)
 
 
 def dominator_chromatic_number(g: Graph) -> tuple[int, Coloring]:
-    if g.n == 0:
-        raise GraphError("dominator chromatic number is undefined for the empty graph")
-    if not is_connected(g):
-        raise DisconnectedError("dominator chromatic number requires a connected graph")
-    lb, clique_mask = max_clique(g)
-    order = _search_order(g, clique_mask)
-    while not _feasible(g, lb, _MODE_PROPER, order):
-        lb += 1
-    k = lb  # chi(G) is a lower bound
-    while not _feasible(g, k, _MODE_DOMINATOR, order):
-        k += 1
-    return k, _lex_witness(g, k, _MODE_DOMINATOR)
+    chi_d, colorings = _dominator_colorings(g)
+    return chi_d, next(colorings)
 
 
 def dominated_chromatic_number(g: Graph) -> tuple[int, Coloring]:
-    if g.n == 0:
-        raise GraphError("dominated chromatic number is undefined for the empty graph")
     if g.n == 1:
         raise UndefinedInvariantError(
             "dominated chromatic number is undefined for the single-vertex graph"
         )
-    if not is_connected(g):
-        raise DisconnectedError("dominated chromatic number requires a connected graph")
-    lb, clique_mask = max_clique(g)
-    order = _search_order(g, clique_mask)
-    while not _feasible(g, lb, _MODE_PROPER, order):
-        lb += 1
-    k = lb
-    while not _feasible(g, k, _MODE_DOMINATED, order):
-        k += 1
-    return k, _lex_witness(g, k, _MODE_DOMINATED)
+    _require_connected(g, "dominated chromatic number")
+    order, chi, _ = _proper_stage(g)
+    chi_dom, colorings = _optimal_colorings(g, _MODE_DOMINATED, order, chi)
+    return chi_dom, next(colorings)
 
 
 def enumerate_optimal_dominator_colorings(g: Graph, k: int) -> Iterator[Coloring]:
@@ -533,12 +553,10 @@ def enumerate_optimal_dominator_colorings(g: Graph, k: int) -> Iterator[Coloring
     Each coloring is produced exactly once, classes canonically ordered by
     minimum vertex, in lexicographic order of assignment sequences.
     """
-    chi_d, _ = dominator_chromatic_number(g)
+    chi_d, colorings = _dominator_colorings(g)
     if k != chi_d:
         raise GraphError(f"k={k} does not equal chi_d={chi_d}")
-    identity = tuple(range(g.n))
-    for masks in _solve_coloring(g, k, _MODE_DOMINATOR, identity, enumerate_all=True):
-        yield Coloring.from_masks(masks)
+    yield from colorings
 
 
 # ---------------------------------------------------------------------------
@@ -553,18 +571,11 @@ def invariant_values(g: Graph, early_exit_k: int | None = None) -> dict[str, int
     values["gamma"] = _min_cover_size(g.n, closed, closed)
     if early_exit_k is not None and values["gamma"] != early_exit_k:
         return values
-    lb, clique_mask = max_clique(g)
-    order = _search_order(g, clique_mask)
-    k = lb
-    while not _feasible(g, k, _MODE_PROPER, order):
-        k += 1
-    values["chi"] = k
-    if early_exit_k is not None and values["chi"] != early_exit_k:
+    order, chi, _ = _proper_stage(g)
+    values["chi"] = chi
+    if early_exit_k is not None and chi != early_exit_k:
         return values
-    k = values["chi"]
-    while not _feasible(g, k, _MODE_DOMINATOR, order):
-        k += 1
-    values["chi_d"] = k
+    values["chi_d"], _ = _optimal_colorings(g, _MODE_DOMINATOR, order, chi)
     if early_exit_k is not None:
         return values
     if g.n == 1 or any(row == 0 for row in g.adj):
@@ -572,31 +583,24 @@ def invariant_values(g: Graph, early_exit_k: int | None = None) -> dict[str, int
         values["chi_dom"] = None
         values["gamma_t"] = None
         return values
-    k = values["chi"]
-    while not _feasible(g, k, _MODE_DOMINATED, order):
-        k += 1
-    values["chi_dom"] = k
+    values["chi_dom"], _ = _optimal_colorings(g, _MODE_DOMINATED, order, chi)
     values["gamma_t"] = _min_cover_size(g.n, g.adj, g.adj)
     return values
 
 
 def compute_report(g: Graph) -> InvariantReport:
     """Full report with witnesses; requires a connected graph."""
-    if g.n == 0:
-        raise GraphError("invariants are undefined for the empty graph")
-    if not is_connected(g):
-        raise DisconnectedError("invariant reports require a connected graph")
+    _require_connected(g, "an invariant report")
     gamma, gamma_w = domination_number(g)
-    chi, chi_w = chromatic_number(g)
-    chi_d, chi_d_w = dominator_chromatic_number(g)
-    if g.n == 1:
-        gamma_t: int | None = None
-        gamma_t_w = None
-        chi_dom: int | None = None
-        chi_dom_w = None
-    else:
+    order, chi, colorings = _proper_stage(g)
+    chi_w = next(colorings)
+    chi_d, colorings = _optimal_colorings(g, _MODE_DOMINATOR, order, chi)
+    chi_d_w = next(colorings)
+    gamma_t = gamma_t_w = chi_dom = chi_dom_w = None  # undefined on a single vertex
+    if g.n > 1:
         gamma_t, gamma_t_w = total_domination_number(g)
-        chi_dom, chi_dom_w = dominated_chromatic_number(g)
+        chi_dom, colorings = _optimal_colorings(g, _MODE_DOMINATED, order, chi)
+        chi_dom_w = next(colorings)
     dk = gamma if gamma == chi == chi_d else None
     assert gamma_t is None or gamma <= gamma_t
     assert chi <= chi_d
@@ -616,8 +620,3 @@ def compute_report(g: Graph) -> InvariantReport:
         chi_d_witness=chi_d_w,
         chi_dom_witness=chi_dom_w,
     )
-
-
-def classify_dk(g: Graph) -> InvariantReport:
-    """Full invariant report; report.dk is k when gamma = chi = chi_d = k."""
-    return compute_report(g)

@@ -215,19 +215,19 @@ def is_in_class_d3(g: Graph, deadline_secs: float | None = None) -> D3Blueprint 
     three-class construction rules; returns the extracted blueprint or None.
 
     Candidate singleton-class vertices are tried in increasing degree order;
-    raises DeadlineExceeded when the optional budget runs out.
+    raises DeadlineExceeded once the optional budget runs out, checked per split.
     """
     if g.n == 0 or not is_connected(g):
         raise GraphError("membership search requires a connected graph")
     if g.n < 7:
         return None
-    t0 = time.monotonic()
+    deadline = None if deadline_secs is None else time.monotonic() + deadline_secs
     full = (1 << g.n) - 1
     for x3 in sorted(range(g.n), key=lambda v: (g.degree(v), v)):
-        if deadline_secs is not None and time.monotonic() - t0 > deadline_secs:
-            raise DeadlineExceeded("membership search exceeded its deadline")
         rest = full & ~(1 << x3)
         for v1_mask, v2_mask in _bipartitions(g, rest):
+            if deadline is not None and time.monotonic() > deadline:
+                raise DeadlineExceeded("membership search exceeded its deadline")
             if v1_mask.bit_count() < 3 or v2_mask.bit_count() < 3:
                 continue
             bp = _match_roles(g, x3, v1_mask, v2_mask)

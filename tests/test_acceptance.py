@@ -27,8 +27,8 @@ from domchrom.planarity import is_planar, lr_is_planar, verify_kuratowski
 from domchrom.scan import min_order_scan, scan_stream
 from domchrom.structure import check_theorem1, is_in_class_d3
 
-ODD_CASES = [(3, 9), (3, 10), (3, 13), (5, 17), (5, 19)]
-EVEN_CASES = [(4, 12), (4, 13), (4, 16), (6, 18)]
+ODD_CASES = [(3, 9), (3, 10), (3, 13), (5, 17), (5, 19), (7, 25), (9, 33)]
+EVEN_CASES = [(4, 12), (4, 13), (4, 16), (6, 18), (8, 24)]
 SMALL_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 

@@ -164,6 +164,13 @@ def test_deadline_env_rejected_when_malformed(capsys, monkeypatch):
     assert code == 2 and "DOMCHROM_DEADLINE_SECS" in err
 
 
+def test_jobs_env_rejected_when_malformed(capsys, monkeypatch):
+    monkeypatch.setenv("DOMCHROM_JOBS", "abc")
+    code, out, err = run_cli(capsys, ["scan", "--builtin", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "DOMCHROM_JOBS" in err
+
+
 def test_console_script_subprocess():
     import shutil
     import subprocess

@@ -15,7 +15,7 @@ from domchrom.constructions import (
     validate_blueprint,
 )
 from domchrom.graphs import GraphError, from_edge_list
-from domchrom.invariants import classify_dk, is_dominating_set
+from domchrom.invariants import compute_report, is_dominating_set
 
 
 def test_d_odd_3_9_matches_hand_expansion():
@@ -110,10 +110,10 @@ def test_d_even_spec_errors():
 def test_constructions_classify_as_dk():
     for k, n in [(3, 9), (3, 11), (5, 17)]:
         g, _ = build_d_odd(DOddSpec(k, n))
-        assert classify_dk(g).dk == k
+        assert compute_report(g).dk == k
     for k, n in [(4, 12), (4, 13)]:
         g, _ = build_d_even(DEvenSpec(k, n))
-        assert classify_dk(g).dk == k
+        assert compute_report(g).dk == k
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +195,7 @@ def test_build_d3_outputs_classify_and_contain_5_cycle():
     for bp in enumerate_d3_blueprints(3, 4, limit=4):
         g, lab = build_d3(bp)
         assert g.n == bp.a + bp.b + 1
-        assert classify_dk(g).dk == 3
+        assert compute_report(g).dk == 3
         y2, y1, x1 = lab.vertex("y2"), lab.vertex("y1"), lab.vertex("x1")
         x3, y3 = lab.vertex("x3"), lab.vertex("y3")
         cycle = [(y2, y1), (y1, x1), (x1, x3), (x3, y3), (y3, y2)]

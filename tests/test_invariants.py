@@ -11,7 +11,6 @@ from domchrom.invariants import (
     DisconnectedError,
     UndefinedInvariantError,
     chromatic_number,
-    classify_dk,
     compute_report,
     dominated_chromatic_number,
     dominates_class,
@@ -122,7 +121,7 @@ def test_disconnected_rejections():
     with pytest.raises(DisconnectedError):
         dominated_chromatic_number(g)
     with pytest.raises(DisconnectedError):
-        classify_dk(g)
+        compute_report(g)
     # gamma and chi stay defined on disconnected input
     assert domination_number(g)[0] == 2
     assert chromatic_number(g)[0] == 2
@@ -130,12 +129,12 @@ def test_disconnected_rejections():
 
 def test_classify_examples():
     g, _ = complete_bipartite(2, 2)
-    assert classify_dk(g).dk == 2
+    assert compute_report(g).dk == 2
     star, _ = complete_bipartite(1, 3)
-    report = classify_dk(star)
+    report = compute_report(star)
     assert report.dk is None and report.gamma == 1 and report.chi == 2
     godd, _ = build_d_odd(DOddSpec(3, 10))
-    assert classify_dk(godd).dk == 3
+    assert compute_report(godd).dk == 3
 
 
 def test_report_fields_and_k1():
@@ -232,6 +231,45 @@ def test_enumerate_optimal_dominator_colorings():
 
     with pytest.raises(GraphError, match="chi_d"):
         list(enumerate_optimal_dominator_colorings(P4, 2))
+
+
+def test_coloring_witnesses_are_lex_first_naive_partitions():
+    # naive.set_partitions lists partitions in lexicographic order of their
+    # assignment sequences, so the first one accepted is the lex-least witness
+    def lex_first(g, k, accept):
+        return Coloring.from_masks(
+            next(p for p in naive.set_partitions(g.n) if len(p) == k and accept(g, p))
+        )
+
+    def dominator(g, p):
+        return naive.blocks_are_independent(g, p) and naive.blocks_form_dominator_coloring(g, p)
+
+    def dominated(g, p):
+        return naive.blocks_are_independent(g, p) and naive.blocks_form_dominated_coloring(g, p)
+
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            chi, witness = chromatic_number(g)
+            assert witness == lex_first(g, chi, naive.blocks_are_independent)
+            chi_d, witness = dominator_chromatic_number(g)
+            assert witness == lex_first(g, chi_d, dominator)
+            if n > 1:
+                chi_dom, witness = dominated_chromatic_number(g)
+                assert witness == lex_first(g, chi_dom, dominated)
+
+
+def test_optimal_colorings_come_in_strictly_increasing_order():
+    from domchrom.invariants import invariant_values
+
+    graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    graphs += [build_d_odd(DOddSpec(3, 10))[0], build_d_even(DEvenSpec(4, 13))[0]]
+    for g in graphs:
+        k = invariant_values(g)["chi_d"]
+        sequences = [
+            col.assignment(g.n) for col in enumerate_optimal_dominator_colorings(g, k)
+        ]
+        assert sequences
+        assert all(a < b for a, b in zip(sequences, sequences[1:]))
 
 
 def blocks_to_sets(blocks):

@@ -168,3 +168,24 @@ def test_membership_deadline():
     godd, _ = build_d_odd(DOddSpec(3, 13))
     with pytest.raises(DeadlineExceeded):
         is_in_class_d3(godd, deadline_secs=-1.0)
+
+
+def test_membership_deadline_checked_within_one_candidate(monkeypatch):
+    # every role match costs 10 s on a fake clock, against a 5 s budget: the
+    # search must stop at the next split, not after the candidate's last one
+    import domchrom.structure as structure
+
+    godd, _ = build_d_odd(DOddSpec(3, 13))
+    clock = [0.0]
+    matched = []
+
+    def slow_match(*args):
+        matched.append(args)
+        clock[0] += 10.0
+        return None
+
+    monkeypatch.setattr(structure.time, "monotonic", lambda: clock[0])
+    monkeypatch.setattr(structure, "_match_roles", slow_match)
+    with pytest.raises(DeadlineExceeded):
+        is_in_class_d3(godd, deadline_secs=5.0)
+    assert len(matched) == 1
