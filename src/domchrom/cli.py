@@ -315,10 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except DeadlineExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GraphError as exc:
+    except (DeadlineExceeded, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,5 +1,10 @@
 """Exact computation of the five invariants: gamma, gamma_t, chi, chi_d, chi_dom.
 
+Values and reports run one stage sequence, gamma, chi, chi_d, the D(k)
+verdict, chi_dom, gamma_t: each search runs when the consumer reaches its
+stage, and each witness only when the consumer asks for it, so the scan's
+values-only path and the full report share every rule.
+
 Solver strategy: domination numbers by branch-and-bound on the set of
 undominated vertices. The chromatic numbers share one coloring search,
 clique vertices first and then by degree, with the dominator/dominated side
@@ -19,7 +24,7 @@ every vertex of the class".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .graphs import Graph, GraphError, is_connected, iter_bits, mask_of
 
@@ -224,11 +229,12 @@ def _greedy_cover_size(n: int, covers: tuple[int, ...]) -> int:
     return count
 
 
-def _min_cover_size(n: int, covers: tuple[int, ...], undom_covers: tuple[int, ...]) -> int:
+def _min_cover_size(n: int, covers: tuple[int, ...]) -> int:
     """Smallest set S with union(covers[v] for v in S) == all vertices.
 
-    undom_covers[u] lists the vertices whose cover contains u (the branching
-    candidates when u is the chosen undominated vertex).
+    covers must be symmetric (u in covers[v] iff v in covers[u]), so that
+    covers[u] lists the branching candidates when u is the chosen
+    undominated vertex.
     """
     full = (1 << n) - 1
     if full == 0:
@@ -256,12 +262,12 @@ def _min_cover_size(n: int, covers: tuple[int, ...], undom_covers: tuple[int, ..
         branch_u = -1
         branch_size = n + 1
         for u in iter_bits(uncovered):
-            size = undom_covers[u].bit_count()
+            size = covers[u].bit_count()
             if size < branch_size:
                 branch_size = size
                 branch_u = u
         candidates = sorted(
-            iter_bits(undom_covers[branch_u]),
+            iter_bits(covers[branch_u]),
             key=lambda w: (-(covers[w] & uncovered).bit_count(), w),
         )
         for w in candidates:
@@ -308,13 +314,19 @@ def _lex_min_cover(n: int, covers: tuple[int, ...], size: int) -> tuple[int, ...
     return result
 
 
+def _cover(
+    n: int, covers: tuple[int, ...], kind: str
+) -> tuple[int, Callable[[], DominatingWitness]]:
+    """Size of a smallest covering set, and a thunk for the lex-least one."""
+    size = _min_cover_size(n, covers)
+    return size, lambda: DominatingWitness(frozenset(_lex_min_cover(n, covers, size)), kind)
+
+
 def domination_number(g: Graph) -> tuple[int, DominatingWitness]:
     if g.n == 0:
         raise GraphError("domination number is undefined for the empty graph")
-    closed = tuple(g.adj[v] | 1 << v for v in range(g.n))
-    gamma = _min_cover_size(g.n, closed, closed)
-    witness = _lex_min_cover(g.n, closed, gamma)
-    return gamma, DominatingWitness(frozenset(witness), "plain")
+    gamma, witness = _cover(g.n, tuple(row | 1 << v for v, row in enumerate(g.adj)), "plain")
+    return gamma, witness()
 
 
 def total_domination_number(g: Graph) -> tuple[int, DominatingWitness]:
@@ -325,9 +337,8 @@ def total_domination_number(g: Graph) -> tuple[int, DominatingWitness]:
             raise UndefinedInvariantError(
                 f"total domination is undefined: vertex {v} is isolated"
             )
-    gamma_t = _min_cover_size(g.n, g.adj, g.adj)
-    witness = _lex_min_cover(g.n, g.adj, gamma_t)
-    return gamma_t, DominatingWitness(frozenset(witness), "total")
+    gamma_t, witness = _cover(g.n, g.adj, "total")
+    return gamma_t, witness()
 
 
 # ---------------------------------------------------------------------------
@@ -563,60 +574,56 @@ def enumerate_optimal_dominator_colorings(g: Graph, k: int) -> Iterator[Coloring
 # Classification
 
 
+def _stages(g: Graph) -> Iterator[tuple[str, int | None, Callable[[], object] | None]]:
+    """The invariants in their fixed order, each as (name, value, witness thunk).
+
+    A stage's search runs when the consumer advances to it; its witness is
+    computed when the thunk is called (once). The D(k) verdict follows chi_d
+    as ("dk", k or None, None). chi_dom and gamma_t are None, with no thunk,
+    when some vertex is isolated (K1 included): then no dominated coloring
+    and no total dominating set exist.
+    """
+    if g.n == 0:
+        raise GraphError("the invariants are undefined for the empty graph")
+    gamma, witness = _cover(g.n, tuple(row | 1 << v for v, row in enumerate(g.adj)), "plain")
+    yield "gamma", gamma, witness
+    order, chi, colorings = _proper_stage(g)
+    yield "chi", chi, colorings.__next__
+    chi_d, colorings = _optimal_colorings(g, _MODE_DOMINATOR, order, chi)
+    yield "chi_d", chi_d, colorings.__next__
+    yield "dk", gamma if gamma == chi == chi_d else None, None
+    if not all(g.adj):
+        yield "chi_dom", None, None
+        yield "gamma_t", None, None
+        return
+    chi_dom, colorings = _optimal_colorings(g, _MODE_DOMINATED, order, chi)
+    yield "chi_dom", chi_dom, colorings.__next__
+    yield "gamma_t", *_cover(g.n, g.adj, "total")
+
+
 def invariant_values(g: Graph, early_exit_k: int | None = None) -> dict[str, int | None]:
-    """The five values (no witnesses). With early_exit_k, stop and return a
-    partial dict as soon as gamma, chi, or chi_d rules out D(early_exit_k)."""
+    """The five values and the D(k) verdict "dk" (no witnesses). With
+    early_exit_k, return a partial dict as soon as gamma or chi rules out
+    D(early_exit_k), or else once "dk" is known."""
     values: dict[str, int | None] = {}
-    closed = tuple(g.adj[v] | 1 << v for v in range(g.n))
-    values["gamma"] = _min_cover_size(g.n, closed, closed)
-    if early_exit_k is not None and values["gamma"] != early_exit_k:
-        return values
-    order, chi, _ = _proper_stage(g)
-    values["chi"] = chi
-    if early_exit_k is not None and chi != early_exit_k:
-        return values
-    values["chi_d"], _ = _optimal_colorings(g, _MODE_DOMINATOR, order, chi)
-    if early_exit_k is not None:
-        return values
-    if g.n == 1 or any(row == 0 for row in g.adj):
-        # no dominated coloring and no total dominating set exist
-        values["chi_dom"] = None
-        values["gamma_t"] = None
-        return values
-    values["chi_dom"], _ = _optimal_colorings(g, _MODE_DOMINATED, order, chi)
-    values["gamma_t"] = _min_cover_size(g.n, g.adj, g.adj)
+    for name, value, _ in _stages(g):
+        values[name] = value
+        if early_exit_k is not None and (
+            name == "dk" or name in ("gamma", "chi") and value != early_exit_k
+        ):
+            break
     return values
 
 
 def compute_report(g: Graph) -> InvariantReport:
     """Full report with witnesses; requires a connected graph."""
     _require_connected(g, "an invariant report")
-    gamma, gamma_w = domination_number(g)
-    order, chi, colorings = _proper_stage(g)
-    chi_w = next(colorings)
-    chi_d, colorings = _optimal_colorings(g, _MODE_DOMINATOR, order, chi)
-    chi_d_w = next(colorings)
-    gamma_t = gamma_t_w = chi_dom = chi_dom_w = None  # undefined on a single vertex
-    if g.n > 1:
-        gamma_t, gamma_t_w = total_domination_number(g)
-        chi_dom, colorings = _optimal_colorings(g, _MODE_DOMINATED, order, chi)
-        chi_dom_w = next(colorings)
-    dk = gamma if gamma == chi == chi_d else None
-    assert gamma_t is None or gamma <= gamma_t
-    assert chi <= chi_d
-    assert chi_dom is None or chi <= chi_dom
-    return InvariantReport(
-        n=g.n,
-        edge_count=g.edge_count(),
-        gamma=gamma,
-        gamma_t=gamma_t,
-        chi=chi,
-        chi_d=chi_d,
-        chi_dom=chi_dom,
-        dk=dk,
-        gamma_witness=gamma_w,
-        gamma_t_witness=gamma_t_w,
-        chi_witness=chi_w,
-        chi_d_witness=chi_d_w,
-        chi_dom_witness=chi_dom_w,
-    )
+    fields: dict[str, object] = {}
+    for name, value, witness in _stages(g):
+        fields[name] = value
+        if name != "dk":
+            fields[f"{name}_witness"] = witness() if witness else None
+    assert fields["gamma_t"] is None or fields["gamma"] <= fields["gamma_t"]
+    assert fields["chi"] <= fields["chi_d"]
+    assert fields["chi_dom"] is None or fields["chi"] <= fields["chi_dom"]
+    return InvariantReport(n=g.n, edge_count=g.edge_count(), **fields)

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Mapping
 
 from .enumeration import MAX_BUILTIN_ORDER, enumerate_connected
-from .graph6 import Graph6Error, iter_graph6_lines, parse_graph6, to_graph6
+from .graph6 import iter_graph6_lines, parse_graph6, to_graph6
 from .graphs import Graph, GraphError, is_connected
 from .invariants import compute_report, invariant_values
 from .planarity import lr_is_planar
@@ -160,29 +160,26 @@ def _evaluate(
     args: tuple[int, int, str, tuple[str, ...]]
 ) -> tuple[int, int, str, dict | None, str | None]:
     index, lineno, line, checks = args
+    fields: dict[str, object] = {}
     try:
         g = parse_graph6(line)
-    except Graph6Error as exc:
+        if "invariants" in checks or "theorem1" in checks:
+            fields.update(invariant_values(g))
+        if "planarity" in checks:
+            fields["planar"] = lr_is_planar(g)
+        if "d3-membership" in checks:
+            fields["d3_member"] = is_in_class_d3(g) is not None
+        if "theorem1" in checks:
+            if fields.get("dk") is None:
+                fields["theorem1_ok"] = None
+            else:
+                result = check_theorem1(g)
+                fields["theorem1_ok"] = bool(
+                    result.all_classes_dominated
+                    and result.every_vertex_dominates_exactly_one
+                )
+    except GraphError as exc:  # unparsable, or a graph some check rejects
         return index, lineno, line, None, str(exc)
-    fields: dict[str, object] = {}
-    if "invariants" in checks or "theorem1" in checks:
-        values = invariant_values(g)
-        fields.update(values)
-        gamma, chi, chi_d = values["gamma"], values["chi"], values["chi_d"]
-        fields["dk"] = gamma if gamma == chi == chi_d else None
-    if "planarity" in checks:
-        fields["planar"] = lr_is_planar(g)
-    if "d3-membership" in checks:
-        fields["d3_member"] = is_in_class_d3(g) is not None
-    if "theorem1" in checks:
-        if fields.get("dk") is None:
-            fields["theorem1_ok"] = None
-        else:
-            result = check_theorem1(g)
-            fields["theorem1_ok"] = bool(
-                result.all_classes_dominated
-                and result.every_vertex_dominates_exactly_one
-            )
     return index, lineno, line, {"n": g.n, "edge_count": g.edge_count(), "fields": fields}, None
 
 
@@ -213,11 +210,12 @@ def scan_stream(
 ) -> ScanSummary:
     """Scan a graph6 line stream, one record per graph, in input order.
 
-    Unknown checks are rejected. Parse failures abort under strict=True,
-    otherwise the record index and source line number go to the summary's
-    skipped list. When a checkpoint exists for the same source, the scan
-    resumes after the last completed record and reproduces the aggregates
-    exactly.
+    Unknown checks are rejected. A line that does not parse, or whose graph
+    a check rejects (say, a disconnected graph under d3-membership), aborts
+    the scan under strict=True; otherwise its record index and source line
+    number go to the summary's skipped list. When a checkpoint exists for
+    the same source, the scan resumes after the last completed record and
+    reproduces the aggregates exactly.
     """
     checks_t = tuple(c for c in KNOWN_CHECKS if c in set(checks))
     unknown = set(checks) - set(KNOWN_CHECKS)
@@ -349,12 +347,7 @@ def min_order_scan(
             if not is_connected(g):
                 continue
             count += 1
-            values = invariant_values(g, early_exit_k=k)
-            if (
-                values.get("gamma") == k
-                and values.get("chi") == k
-                and values.get("chi_d") == k
-            ):
+            if invariant_values(g, early_exit_k=k).get("dk") == k:
                 hit = g
                 break
         orders_scanned[n] = count

@@ -319,6 +319,14 @@ def test_fast_path_agrees_with_witness_path():
                 r.chi_d,
                 r.chi_dom,
             )
+            assert v["dk"] == r.dk
+            # early exit: cut at the first of gamma, chi that rules D(k) out,
+            # or else after the verdict
+            cut = ["gamma", "chi", "chi_d", "dk"]
+            for k in (2, 3, 4):
+                stop = next((name for name in ("gamma", "chi") if v[name] != k), "dk")
+                expected = {name: v[name] for name in cut[: cut.index(stop) + 1]}
+                assert invariant_values(g, early_exit_k=k) == expected
 
 
 def test_coloring_canonical_order_and_assignment():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,34 @@ def test_scan_parse_failures(tmp_path):
     assert summary.skipped == [[1, 2]]  # record index 1, source line 2
     with pytest.raises(ScanError, match=r"line 2 \(record 1\)"):
         scan_stream(lines, checks=("invariants",), source_id="bad", strict=True)
+
+
+def test_scan_skips_empty_graph_line():
+    # "?" is the 0-vertex graph. The scan runs in a subprocess so that a
+    # solver that never returns on it fails at the timeout instead of
+    # stalling the suite.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "domchrom", "scan", "--source", "-"],
+        input="?\nBw\n", capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["total"] == 1 and payload["skipped"] == [[0, 1]]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_skips_graphs_a_check_rejects(jobs):
+    # C? has four isolated vertices, which d3-membership rejects
+    lines = ["C?", "CF"]
+    checks = ("invariants", "d3-membership")
+    sink = []
+    summary = scan_stream(lines, checks=checks, records_sink=sink, source_id="d3", jobs=jobs)
+    assert summary.total == 1 and summary.skipped == [[0, 1]]
+    assert [r.graph6 for r in sink] == ["CF"] and sink[0].fields["d3_member"] is False
+    with pytest.raises(ScanError, match=r"line 1 \(record 0\)"):
+        scan_stream(lines, checks=checks, source_id="d3", strict=True, jobs=jobs)
 
 
 def test_scan_jobs_deterministic(tmp_path):
