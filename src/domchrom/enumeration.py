@@ -5,6 +5,17 @@ vertex orderings that respect the stable color-refinement partition (classes
 ordered by their isomorphism-invariant signatures). Equal forms therefore
 mean isomorphic graphs, and each isomorphism class has one representative.
 
+The form is found by branch and bound, not by trying every such order. The
+encoding is row-major, and row i depends only on the vertex at position i
+and on which vertices fill each later cell. The search keeps the unplaced
+positions as an ordered list of cells and places a vertex v of the first
+cell. Row i is smallest when every later cell lists its non-neighbours of v
+before its neighbours, so the cells split that way and the row follows from
+popcounts. Only the vertices with the smallest row are explored, a branch
+whose code prefix is already above the best complete code is cut, and a
+discrete list of cells is encoded directly. `naive.refined_canonical_form`
+computes the same value by trying every order.
+
 The built-in generator covers 1 <= n <= 7 by repeatedly attaching one new
 vertex to every smaller connected graph (every connected graph has a
 non-cut vertex, so the extension is complete). Beyond 7, callers are
@@ -14,8 +25,7 @@ the helper that manufactures such streams one order at a time.
 
 from __future__ import annotations
 
-from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import Graph, GraphError, is_connected, iter_bits
 
@@ -27,62 +37,95 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 _CANDIDATE_CAP = 1 << 22
 
 
-def _refine_colors(g: Graph) -> list[int]:
-    """Stable 1-dimensional color refinement with invariant class ids."""
-    colors = [g.degree(v) for v in range(g.n)]
-    ids = {c: i for i, c in enumerate(sorted(set(colors)))}
-    colors = [ids[c] for c in colors]
+def _refined_cells(g: Graph) -> list[int]:
+    """Stable 1-dimensional color refinement, as ordered vertex bitmask cells.
+
+    The cells start as the degree classes, by increasing degree. Each round
+    splits every cell by how many neighbours its vertices have in each cell
+    of the previous round. The parts of a cell are ordered by the sorted
+    tuple of their neighbours' cell indices; all vertices of a cell have the
+    same degree, so that is the order of the negated count vectors.
+    """
+    adj = g.adj
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in iter_bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
-        ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new_colors = [ids[s] for s in sigs]
-        if new_colors == colors:
-            return colors
-        colors = new_colors
-
-
-def _candidate_orders(g: Graph) -> Iterable[tuple[int, ...]]:
-    colors = _refine_colors(g)
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    ordered_classes = [classes[c] for c in sorted(classes)]
-    total = 1
-    for cls in ordered_classes:
-        for i in range(2, len(cls) + 1):
-            total *= i
-        if total > _CANDIDATE_CAP:
-            raise GraphError(
-                f"canonical form search space too large ({total}+ orderings)"
-            )
-
-    def rec(i: int, prefix: tuple[int, ...]):
-        if i == len(ordered_classes):
-            yield prefix
-            return
-        for perm in permutations(ordered_classes[i]):
-            yield from rec(i + 1, prefix + perm)
-
-    yield from rec(0, ())
+        split = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                split.append(cell)
+                continue
+            parts: dict[tuple[int, ...], int] = {}
+            for v in iter_bits(cell):
+                row = adj[v]
+                key = tuple([-(row & c).bit_count() for c in cells])
+                parts[key] = parts.get(key, 0) | 1 << v
+            split += [parts[key] for key in sorted(parts)]
+        if len(split) == len(cells):
+            return cells
+        cells = split
 
 
 def canonical_form(g: Graph) -> int:
     """Minimum refinement-respecting adjacency encoding (an isomorphism key)."""
     n = g.n
     adj = g.adj
-    best = None
-    for order in _candidate_orders(g):
-        bits = 0
-        for i in range(n):
-            row = adj[order[i]]
-            for j in range(i + 1, n):
-                bits = bits << 1 | (row >> order[j] & 1)
-        if best is None or bits < best:
-            best = bits
-    return best if best is not None else 0
+    cells = _refined_cells(g)
+    total = 1
+    for cell in cells:
+        for i in range(2, cell.bit_count() + 1):
+            total *= i
+        if total > _CANDIDATE_CAP:
+            raise GraphError(
+                f"canonical form search space too large ({total}+ orderings)"
+            )
+    best = -1
+    # (cells of the unplaced positions, their vertex count, code of the placed rows)
+    stack = [(cells, n, 0)]
+    while stack:
+        cells, m, code = stack.pop()
+        if len(cells) == m:  # discrete: one order is left
+            for i, cell in enumerate(cells, 1):
+                row = adj[cell.bit_length() - 1]
+                for later in cells[i:]:
+                    code = code << 1 | (row & later != 0)
+            if best < 0 or code < best:
+                best = code
+            continue
+        first = cells[0]
+        rest = cells[1:]
+        sizes = [c.bit_count() for c in rest]
+        top = -1
+        tied: list[int] = []
+        for v in iter_bits(first):
+            # v's row when each later cell lists its non-neighbours of v first;
+            # v is not its own neighbour, so first & a lies in the rest of its cell
+            a = adj[v]
+            row = (1 << (first & a).bit_count()) - 1
+            for c, s in zip(rest, sizes):
+                row = row << s | (1 << (c & a).bit_count()) - 1
+            if row < top or top < 0:
+                top = row
+                tied = [v]
+            elif row == top:
+                tied.append(v)
+        m -= 1
+        code = code << m | top
+        if best >= 0 and code > best >> (m * (m - 1) // 2):
+            continue
+        for v in tied:
+            a = adj[v]
+            split = []
+            for c in (first ^ 1 << v, *rest):
+                if c & ~a:
+                    split.append(c & ~a)
+                if c & a:
+                    split.append(c & a)
+            stack.append((split, m, code))
+    return best
 
 
 def _bits_to_graph(n: int, bits: int) -> Graph:
@@ -121,6 +164,8 @@ def extend_connected(graphs: Sequence[Graph]) -> list[Graph]:
             out_n = n + 1
         elif out_n != n + 1:
             raise GraphError("extend_connected requires graphs of a single order")
+        if not is_connected(g):
+            raise GraphError("extend_connected requires connected graphs")
         for nbhd in range(1, 1 << n):
             rows = list(g.adj) + [nbhd]
             for v in iter_bits(nbhd):
@@ -129,7 +174,8 @@ def extend_connected(graphs: Sequence[Graph]) -> list[Graph]:
             bits = canonical_form(h)
             if bits not in seen:
                 seen[bits] = h.edge_count()
-    assert out_n is not None, "extend_connected needs at least one input graph"
+    if out_n is None:
+        raise GraphError("extend_connected needs at least one input graph")
     ordered = sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
     return [_bits_to_graph(out_n, bits) for bits, _ in ordered]
 

@@ -9,8 +9,8 @@ orders (roughly n <= 8).
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterator
+from itertools import combinations, permutations, product
+from typing import Iterator, Sequence
 
 from .graphs import Graph, iter_bits
 
@@ -166,29 +166,52 @@ def dominator_colorings(g: Graph, k: int) -> list[tuple[int, ...]]:
 # Isomorphism-class machinery by full permutation search.
 
 
+def _order_bits(g: Graph, order: Sequence[int]) -> int:
+    """Upper-triangle adjacency of g with its vertices listed in `order`."""
+    bits = 0
+    for i in range(g.n):
+        row = g.adj[order[i]]
+        for j in range(i + 1, g.n):
+            bits = bits << 1 | (row >> order[j] & 1)
+    return bits
+
+
 def adjacency_bits(g: Graph) -> int:
     """Upper-triangle adjacency packed into an int (row-major, msb first)."""
-    bits = 0
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            bits = bits << 1 | (g.adj[u] >> v & 1)
-    return bits
+    return _order_bits(g, range(g.n))
 
 
 def canonical_form(g: Graph) -> int:
     """Minimum adjacency encoding over all vertex permutations."""
-    from itertools import permutations
+    return min(_order_bits(g, perm) for perm in permutations(range(g.n)))
 
-    best = None
-    for perm in permutations(range(g.n)):
-        bits = 0
-        for i in range(g.n):
-            pi = perm[i]
-            for j in range(i + 1, g.n):
-                bits = bits << 1 | (g.adj[pi] >> perm[j] & 1)
-        if best is None or bits < best:
-            best = bits
-    return best if best is not None else 0
+
+def _refine_colors(g: Graph) -> list[int]:
+    """Stable 1-dimensional color refinement with invariant class ids."""
+    colors = [g.degree(v) for v in range(g.n)]
+    ids = {c: i for i, c in enumerate(sorted(set(colors)))}
+    colors = [ids[c] for c in colors]
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in iter_bits(g.adj[v]))))
+            for v in range(g.n)
+        ]
+        ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new_colors = [ids[s] for s in sigs]
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+def refined_canonical_form(g: Graph) -> int:
+    """Minimum adjacency encoding over the vertex orders that list the stable
+    color-refinement classes in class-id order, each class permuted freely."""
+    colors = _refine_colors(g)
+    classes = [[v for v in range(g.n) if colors[v] == c] for c in sorted(set(colors))]
+    return min(
+        _order_bits(g, sum(parts, ()))
+        for parts in product(*(permutations(cls) for cls in classes))
+    )
 
 
 def connected_graphs(n: int) -> list[int]:

@@ -1,3 +1,7 @@
+import random
+import time
+from itertools import combinations
+
 import pytest
 
 from domchrom import naive
@@ -9,7 +13,14 @@ from domchrom.enumeration import (
     enumerate_connected,
     extend_connected,
 )
-from domchrom.graphs import GraphError, complete_bipartite, from_edge_list, is_connected
+from domchrom.graphs import (
+    Graph,
+    GraphError,
+    complete_bipartite,
+    from_edge_list,
+    is_connected,
+    iter_bits,
+)
 
 
 def test_connected_counts():
@@ -70,3 +81,86 @@ def test_extend_connected_reproduces_next_order():
     got = extend_connected(enumerate_connected(3))
     want = enumerate_connected(4)
     assert [g.adj for g in got] == [g.adj for g in want]
+
+
+def _labelled_graphs(max_n):
+    for n in range(max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield from_edge_list(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def _relabelled_connected(max_n, seeds=(0, 1, 2)):
+    for seed in seeds:
+        rng = random.Random(seed)
+        for n in range(1, max_n + 1):
+            for g in enumerate_connected(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                yield g.permuted(perm)
+
+
+def _extension_candidates(parents):
+    """Every graph extend_connected canonicalizes for these parents."""
+    for g in parents:
+        n = g.n
+        for nbhd in range(1, 1 << n):
+            rows = list(g.adj) + [nbhd]
+            for v in iter_bits(nbhd):
+                rows[v] |= 1 << n
+            yield Graph(n + 1, rows)
+
+
+@pytest.mark.parametrize(
+    "graphs, count",
+    [
+        pytest.param(
+            lambda: _labelled_graphs(5),
+            sum(2 ** (n * (n - 1) // 2) for n in range(6)),
+            id="labelled-n<=5",
+        ),
+        pytest.param(
+            lambda: _relabelled_connected(6),
+            3 * sum(CONNECTED_COUNTS[n] for n in range(1, 7)),
+            id="relabelled-connected-n<=6",
+        ),
+        pytest.param(
+            lambda: _extension_candidates(enumerate_connected(7)[::20]),
+            43 * 127,
+            id="order-7-extensions",
+        ),
+    ],
+)
+def test_canonical_form_equals_refined_brute_force(graphs, count):
+    checked = 0
+    for g in graphs():
+        assert canonical_form(g) == naive.refined_canonical_form(g), (g.n, g.adj)
+        checked += 1
+    assert checked == count
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(Graph(11, [0] * 11), id="edgeless-11"),
+        pytest.param(Graph(11, [((1 << 11) - 1) ^ 1 << v for v in range(11)]), id="K11"),
+    ],
+)
+def test_canonical_form_refuses_large_search_space(g):
+    # one refinement cell of 11 vertices: 11! orders exceed the cap, and the
+    # check must come from the cell sizes alone, before any search
+    start = time.perf_counter()
+    with pytest.raises(GraphError, match="canonical form search space too large"):
+        canonical_form(g)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_extend_connected_rejects_disconnected_parent():
+    k2_plus_k1 = from_edge_list(3, [(0, 1)])
+    with pytest.raises(GraphError, match="requires connected graphs"):
+        extend_connected([k2_plus_k1])
+
+
+def test_extend_connected_rejects_empty_input():
+    with pytest.raises(GraphError, match="needs at least one input graph"):
+        extend_connected([])
