@@ -214,7 +214,7 @@ def _cmd_scan(args) -> int:
         source_id = scanmod.source_id_for_builtin(args.builtin)
     elif args.source == "-":
         lines = [line for line in sys.stdin]
-        source_id = "stdin"
+        source_id = scanmod.source_id_for_stdin(lines)
     else:
         path = Path(args.source)
         if not path.exists():

@@ -13,14 +13,23 @@ cell. Row i is smallest when every later cell lists its non-neighbours of v
 before its neighbours, so the cells split that way and the row follows from
 popcounts. Only the vertices with the smallest row are explored, a branch
 whose code prefix is already above the best complete code is cut, and a
-discrete list of cells is encoded directly. `naive.refined_canonical_form`
-computes the same value by trying every order.
+discrete list of cells is encoded directly. A leaf whose code equals the
+best gives an automorphism, which maps the best leaf's order onto the
+leaf's and fixes their common prefix of length j. The branch that puts the
+leaf's vertex at position j is then that automorphism's image of the
+explored branch that put the best leaf's vertex there, so the search drops
+what is left of it (first-path pruning; McKay and Piperno, "Practical graph
+isomorphism II", 2014). The automorphisms so found generate the
+automorphism group. `naive.refined_canonical_form` computes the same value
+by trying every order.
 
 The built-in generator covers 1 <= n <= 7 by repeatedly attaching one new
 vertex to every smaller connected graph (every connected graph has a
-non-cut vertex, so the extension is complete). Beyond 7, callers are
-expected to stream externally produced graph6 input; `extend_connected` is
-the helper that manufactures such streams one order at a time.
+non-cut vertex, so the extension is complete). New neighbourhoods in one
+orbit of the parent's automorphism group give isomorphic graphs, so only
+one per orbit is canonicalized. Beyond 7, callers are expected to stream
+externally produced graph6 input; `extend_connected` is the helper that
+manufactures such streams one order at a time.
 """
 
 from __future__ import annotations
@@ -69,8 +78,12 @@ def _refined_cells(g: Graph) -> list[int]:
         cells = split
 
 
-def canonical_form(g: Graph) -> int:
-    """Minimum refinement-respecting adjacency encoding (an isomorphism key)."""
+def _search(g: Graph) -> tuple[int, list[list[int]]]:
+    """The canonical code of g, and the automorphisms its search met.
+
+    Each automorphism is a list p with p[v] the image of vertex v. Together
+    they generate the whole automorphism group of g.
+    """
     n = g.n
     adj = g.adj
     cells = _refined_cells(g)
@@ -83,17 +96,41 @@ def canonical_form(g: Graph) -> int:
                 f"canonical form search space too large ({total}+ orderings)"
             )
     best = -1
-    # (cells of the unplaced positions, their vertex count, code of the placed rows)
-    stack = [(cells, n, 0)]
+    best_order: list[int] = []
+    automorphisms: list[list[int]] = []
+    path = [0] * n  # path[i] is the vertex placed at position i on this branch
+    # (cells of the unplaced positions, their vertex count, code of the placed
+    # rows, the vertex placed last); the entry's depth is n - count
+    stack = [(cells, n, 0, -1)]
     while stack:
-        cells, m, code = stack.pop()
+        cells, m, code, v = stack.pop()
+        depth = n - m
+        if depth:
+            path[depth - 1] = v
         if len(cells) == m:  # discrete: one order is left
             for i, cell in enumerate(cells, 1):
                 row = adj[cell.bit_length() - 1]
                 for later in cells[i:]:
                     code = code << 1 | (row & later != 0)
-            if best < 0 or code < best:
+            if 0 <= best < code:
+                continue
+            order = path[:depth] + [cell.bit_length() - 1 for cell in cells]
+            if code != best:
                 best = code
+                best_order = order
+                continue
+            # equal codes: best_order[i] -> order[i] is an automorphism that fixes
+            # the common prefix of length j, so the subtree of order[j] below that
+            # prefix is its image of the explored subtree of best_order[j]
+            gamma = [0] * n
+            for a, b in zip(best_order, order):
+                gamma[a] = b
+            automorphisms.append(gamma)
+            j = 0
+            while best_order[j] == order[j]:
+                j += 1
+            while stack and n - stack[-1][1] > j + 1:
+                stack.pop()
             continue
         first = cells[0]
         rest = cells[1:]
@@ -124,8 +161,41 @@ def canonical_form(g: Graph) -> int:
                     split.append(c & ~a)
                 if c & a:
                     split.append(c & a)
-            stack.append((split, m, code))
-    return best
+            stack.append((split, m, code, v))
+    return best, automorphisms
+
+
+def canonical_form(g: Graph) -> int:
+    """Minimum refinement-respecting adjacency encoding (an isomorphism key)."""
+    return _search(g)[0]
+
+
+def _orbit_representatives(n: int, automorphisms: list[list[int]]) -> list[int]:
+    """The least mask of each orbit of the group the automorphisms generate
+    on the nonempty subsets of range(n), as bitmasks."""
+    images = []
+    for p in automorphisms:
+        image = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << p[low.bit_length() - 1]
+        images.append(image)
+    seen = bytearray(1 << n)
+    reps = []
+    for mask in range(1, 1 << n):
+        if seen[mask]:
+            continue
+        reps.append(mask)
+        seen[mask] = 1
+        todo = [mask]
+        while todo:
+            x = todo.pop()
+            for image in images:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    todo.append(y)
+    return reps
 
 
 def _bits_to_graph(n: int, bits: int) -> Graph:
@@ -166,7 +236,8 @@ def extend_connected(graphs: Sequence[Graph]) -> list[Graph]:
             raise GraphError("extend_connected requires graphs of a single order")
         if not is_connected(g):
             raise GraphError("extend_connected requires connected graphs")
-        for nbhd in range(1, 1 << n):
+        # neighbourhoods in one orbit of Aut(g) give isomorphic extensions
+        for nbhd in _orbit_representatives(n, _search(g)[1]):
             rows = list(g.adj) + [nbhd]
             for v in iter_bits(nbhd):
                 rows[v] |= 1 << n

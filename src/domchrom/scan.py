@@ -148,6 +148,11 @@ def source_id_for_file(path: str | Path) -> str:
     return f"file:sha256:{digest}"
 
 
+def source_id_for_stdin(lines: Iterable[str]) -> str:
+    digest = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+    return f"stdin:sha256:{digest}"
+
+
 def source_id_for_builtin(n: int) -> str:
     return f"builtin:n={n}"
 
@@ -243,6 +248,12 @@ def scan_stream(
             if not out_path.exists():
                 raise ScanError(
                     f"checkpoint expects an existing record file at {out_path}"
+                )
+            size = out_path.stat().st_size
+            if size < records_bytes:
+                raise ScanError(
+                    f"record file {out_path} has {size} bytes, fewer than the "
+                    f"{records_bytes} its checkpoint covers"
                 )
             out_file = open(out_path, "r+", encoding="utf-8")
             out_file.truncate(records_bytes)

@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from domchrom.cli import main
 from domchrom.constructions import DOddSpec, build_d_odd
-from domchrom.enumeration import are_isomorphic
+from domchrom.enumeration import are_isomorphic, enumerate_connected
 from domchrom.graph6 import parse_graph6, to_graph6
 from domchrom.graphs import complete_bipartite
 
@@ -156,6 +157,36 @@ def test_scan_cli_env_jobs(capsys, tmp_path, monkeypatch):
     code, stdout, _ = run_cli(capsys, ["scan", "--builtin", "4"])
     assert code == 0
     assert json.loads(stdout)["total"] == 6
+
+
+def test_scan_refuses_to_resume_into_a_truncated_record_file(capsys, tmp_path):
+    src = tmp_path / "n6.g6"
+    src.write_text("".join(to_graph6(g) + "\n" for g in enumerate_connected(6)))
+    out = tmp_path / "records.jsonl"
+    argv = ["scan", "--source", str(src), "--out", str(out), "--checkpoint", str(tmp_path / "cp.json")]
+    assert run_cli(capsys, argv)[0] == 0
+    with open(out, "r+b") as f:
+        f.truncate(1000)
+    code, stdout, err = run_cli(capsys, argv)
+    assert code == 2 and stdout == ""
+    assert "fewer than" in err
+    # refused before the record file is touched: no NUL padding
+    assert out.stat().st_size == 1000 and b"\0" not in out.read_bytes()
+
+
+def test_scan_stdin_checkpoint_is_bound_to_the_stream(capsys, tmp_path, monkeypatch):
+    n4 = "".join(to_graph6(g) + "\n" for g in enumerate_connected(4))
+    n5 = "".join(to_graph6(g) + "\n" for g in enumerate_connected(5))
+    argv = ["scan", "--source", "-", "--out", str(tmp_path / "records.jsonl"),
+            "--checkpoint", str(tmp_path / "cp.json")]
+    code, stdout, _ = run_cli(capsys, argv, stdin_text=n4, monkeypatch=monkeypatch)
+    assert code == 0
+    digest = hashlib.sha256(n4.encode("utf-8")).hexdigest()
+    assert json.loads(stdout)["source_id"] == f"stdin:sha256:{digest}"
+    code, stdout, _ = run_cli(capsys, argv, stdin_text=n4, monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(stdout)["total"] == 6
+    code, _out, err = run_cli(capsys, argv, stdin_text=n5, monkeypatch=monkeypatch)
+    assert code == 2 and "checkpoint does not match" in err
 
 
 def test_deadline_env_rejected_when_malformed(capsys, monkeypatch):

@@ -1,12 +1,13 @@
 import random
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from domchrom import naive
 from domchrom.enumeration import (
     CONNECTED_COUNTS,
+    _search,
     are_isomorphic,
     canonical_form,
     canonical_graph,
@@ -164,3 +165,106 @@ def test_extend_connected_rejects_disconnected_parent():
 def test_extend_connected_rejects_empty_input():
     with pytest.raises(GraphError, match="needs at least one input graph"):
         extend_connected([])
+
+
+@pytest.mark.parametrize(
+    "g, form",
+    [
+        pytest.param(Graph(10, [((1 << 10) - 1) ^ 1 << v for v in range(10)]), (1 << 45) - 1, id="K10"),
+        pytest.param(Graph(10, [0] * 10), 0, id="edgeless-10"),
+    ],
+)
+def test_canonical_form_of_one_large_cell_is_fast(g, form):
+    # one refinement cell of 10 vertices, 10! orders below the cap; the
+    # automorphisms found at equal leaves prune all but one branch per level
+    start = time.perf_counter()
+    assert canonical_form(g) == form
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(
+            from_edge_list(
+                10,
+                [(i, (i + 1) % 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                + [(i, i + 5) for i in range(5)],
+            ),
+            id="Petersen",
+        ),
+        pytest.param(complete_bipartite(5, 5)[0], id="K5,5"),
+        pytest.param(from_edge_list(10, [(i, (i + 1) % 10) for i in range(10)]), id="C10"),
+    ],
+)
+def test_canonical_form_is_relabelling_invariant_on_symmetric_order_10(g):
+    rng = random.Random(10)
+    forms = {canonical_form(g)}
+    for _ in range(3):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        forms.add(canonical_form(g.permuted(perm)))
+    assert len(forms) == 1
+
+
+def _group_order(n, generators):
+    identity = tuple(range(n))
+    group = {identity}
+    todo = [identity]
+    while todo:
+        p = todo.pop()
+        for gen in generators:
+            q = tuple(gen[v] for v in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return len(group)
+
+
+@pytest.mark.parametrize(
+    "graphs, count",
+    [
+        pytest.param(
+            lambda: _labelled_graphs(5),
+            sum(2 ** (n * (n - 1) // 2) for n in range(6)),
+            id="labelled-n<=5",
+        ),
+        pytest.param(
+            lambda: _relabelled_connected(6, seeds=(3,)),
+            sum(CONNECTED_COUNTS[n] for n in range(1, 7)),
+            id="relabelled-connected-n<=6",
+        ),
+    ],
+)
+def test_search_automorphisms_generate_the_automorphism_group(graphs, count):
+    checked = 0
+    for g in graphs():
+        generators = _search(g)[1]
+        for p in generators:
+            assert g.permuted(p).adj == g.adj, (g.n, g.adj, p)
+        brute = sum(g.permuted(p).adj == g.adj for p in permutations(range(g.n)))
+        assert _group_order(g.n, generators) == brute, (g.n, g.adj)
+        checked += 1
+    assert checked == count
+
+
+def _extension_reference(parents):
+    """extend_connected with every neighbourhood canonicalized."""
+    seen = {}
+    for h in _extension_candidates(parents):
+        seen.setdefault(canonical_form(h), h.edge_count())
+    return sorted(seen, key=lambda bits: (seen[bits], bits))
+
+
+@pytest.mark.parametrize(
+    "parents",
+    [
+        pytest.param(lambda: [g for n in range(1, 7) for g in enumerate_connected(n)], id="n<=6"),
+        pytest.param(lambda: enumerate_connected(7)[::20], id="every-20th-order-7"),
+    ],
+)
+def test_orbit_pruned_extension_equals_canonicalizing_every_neighbourhood(parents):
+    for g in parents():
+        got = [canonical_form(h) for h in extend_connected([g])]
+        assert got == _extension_reference([g]), (g.n, g.adj)
