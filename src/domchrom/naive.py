@@ -12,7 +12,8 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, GraphError, from_edge_list, iter_bits
+from .planarity import KuratowskiWitness, _classify_subdivision, _LRPlanarity
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +302,17 @@ def has_kuratowski_minor(g: Graph) -> bool:
 
 def is_planar(g: Graph) -> bool:
     return not has_kuratowski_minor(g)
+
+
+def kuratowski_by_deletion(g: Graph) -> KuratowskiWitness:
+    """Kuratowski witness by one plain LR run per edge: delete each edge in
+    sorted order unless that makes the kept graph planar. No 2-core screen."""
+    if _LRPlanarity(g).run():
+        raise GraphError("graph is planar; no Kuratowski witness exists")
+    edges = sorted(g.edges())
+    kept = list(edges)
+    for e in edges:
+        trial = [f for f in kept if f != e]
+        if not _LRPlanarity(from_edge_list(g.n, trial)).run():
+            kept = trial
+    return _classify_subdivision(g.n, kept)

@@ -6,7 +6,19 @@ T-alike/T-opposite constraints tracked on a stack of conflict pairs. A
 planar verdict carries a combinatorial embedding (rotation system) obtained
 from the side assignment; a non-planar verdict carries a Kuratowski
 subdivision found by deleting edges while non-planarity persists (an
-edge-minimal non-planar subgraph is a subdivision of K_5 or K_{3,3}).
+edge-minimal non-planar subgraph is a subdivision of K_5 or K_{3,3}). All
+three phases walk the DFS on explicit stacks, so deep graphs need no
+recursion.
+
+Two exact screens spare most LR runs. Both look at the 2-core, what is left
+after repeatedly deleting vertices of degree <= 1; a graph is planar exactly
+when its 2-core is, because a Kuratowski subdivision has minimum degree 2.
+`lr_is_planar` calls a graph planar without an LR run when its 2-core has
+fewer than 6 vertices of degree >= 3 and fewer than 5 of degree >= 4, the
+branch vertices a K_{3,3} or K_5 subdivision needs. The deletion keeps only
+the 2-core of the kept graph: an edge outside it is a bridge into a pendant
+tree and goes untested, and an edge inside it is tested on the re-peeled
+core. The edges kept, and so the witness, are those of one LR run per edge.
 
 Certificates are verified by re-walking, not trusted: embeddings via
 Euler's formula per connected component, witnesses by tracing their
@@ -18,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, GraphError, connected_component_masks, from_edge_list, iter_bits
+from .graphs import Graph, GraphError, connected_component_masks, iter_bits
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,7 @@ class _LRPlanarity:
     # -- phase 1: DFS orientation ------------------------------------------
 
     def _orient(self) -> None:
-        oriented: set[frozenset[int]] = set()
+        oriented = [0] * self.n  # bit w of row v: edge vw already oriented
         for root in range(self.n):
             if self.height[root] is not None:
                 continue
@@ -104,10 +116,10 @@ class _LRPlanarity:
                 v, it = stack[-1]
                 advanced = False
                 for w in it:
-                    key = frozenset((v, w))
-                    if key in oriented:
+                    if oriented[v] >> w & 1:
                         continue
-                    oriented.add(key)
+                    oriented[v] |= 1 << w
+                    oriented[w] |= 1 << v
                     vw = (v, w)
                     self.orient_adjs[v].append(w)
                     self.lowpt[vw] = self.height[v]
@@ -166,26 +178,36 @@ class _LRPlanarity:
                 return False
         return True
 
-    def _test_dfs(self, v: int) -> bool:
-        e = self.parent_edge[v]
-        for idx, w in enumerate(self.ordered_adjs[v]):
-            ei = (v, w)
-            self.stack_bottom[ei] = len(self.S)
-            if ei == self.parent_edge[w]:  # tree edge
-                if not self._test_dfs(w):
-                    return False
-            else:  # back edge
-                self.lowpt_edge[ei] = ei
-                self.S.append(_ConflictPair(right=_Interval(ei, ei)))
-            if self.lowpt[ei] < self.height[v]:  # ei has a return edge
-                if idx == 0:
-                    if e is not None:
-                        self.lowpt_edge[e] = self.lowpt_edge[ei]
-                else:
-                    if not self._add_constraints(ei, e):
+    def _test_dfs(self, root: int) -> bool:
+        # explicit stack of (vertex, edge index, whether that tree edge's
+        # subtree is finished), so deep graphs do not hit the recursion limit
+        stack = [(root, 0, False)]
+        while stack:
+            v, idx, child_done = stack.pop()
+            e = self.parent_edge[v]
+            adjs = self.ordered_adjs[v]
+            while idx < len(adjs):
+                w = adjs[idx]
+                ei = (v, w)
+                if not child_done:
+                    self.stack_bottom[ei] = len(self.S)
+                    if ei == self.parent_edge[w]:  # tree edge: finish w first
+                        stack.append((v, idx, True))
+                        stack.append((w, 0, False))
+                        break
+                    self.lowpt_edge[ei] = ei  # back edge
+                    self.S.append(_ConflictPair(right=_Interval(ei, ei)))
+                child_done = False
+                if self.lowpt[ei] < self.height[v]:  # ei has a return edge
+                    if idx == 0:
+                        if e is not None:
+                            self.lowpt_edge[e] = self.lowpt_edge[ei]
+                    elif not self._add_constraints(ei, e):
                         return False
-        if e is not None:
-            self._trim_back_edges(e)
+                idx += 1
+            else:
+                if e is not None:
+                    self._trim_back_edges(e)
         return True
 
     def _add_constraints(self, ei: tuple[int, int], e: tuple[int, int]) -> bool:
@@ -322,8 +344,44 @@ class _LRPlanarity:
         return self._test()
 
 
+def _peel(rows: list[int], queue: list[int]) -> None:
+    """Shrink `rows` in place to the 2-core by deleting vertices of degree 1,
+    starting from the vertices in `queue` (any others must have degree != 1)."""
+    while queue:
+        v = queue.pop()
+        row = rows[v]
+        if row and not row & (row - 1):  # degree exactly 1
+            u = row.bit_length() - 1
+            rows[v] = 0
+            rows[u] &= ~(1 << v)
+            queue.append(u)
+
+
+def _two_core(g: Graph) -> list[int]:
+    rows = list(g.adj)
+    _peel(rows, [v for v, row in enumerate(rows) if row and not row & (row - 1)])
+    return rows
+
+
+def _too_few_branch_vertices(core: list[int]) -> bool:
+    """True when a 2-core cannot hold a K_5 or K_{3,3} subdivision: one needs
+    6 vertices of degree >= 3 or 5 of degree >= 4, and lies in the 2-core."""
+    deg3 = deg4 = 0
+    for row in core:
+        d = row.bit_count()
+        if d >= 3:
+            deg3 += 1
+            if d >= 4:
+                deg4 += 1
+    return deg3 < 6 and deg4 < 5
+
+
 def lr_is_planar(g: Graph) -> bool:
-    """Bare LR planarity decision, no certificate."""
+    """Bare LR planarity decision, no certificate. Graphs whose 2-core has
+    too few branch vertices for a Kuratowski subdivision are planar with no
+    LR run."""
+    if _too_few_branch_vertices(_two_core(g)):
+        return True
     return _LRPlanarity(g).run()
 
 
@@ -448,13 +506,25 @@ def kuratowski_witness(g: Graph) -> KuratowskiWitness:
     subdivision (raises if the graph is planar)."""
     if lr_is_planar(g):
         raise GraphError("graph is planar; no Kuratowski witness exists")
-    edges = sorted(g.edges())
-    kept = list(edges)
-    for e in edges:
-        trial = [f for f in kept if f != e]
-        if not lr_is_planar(from_edge_list(g.n, trial)):
-            kept = trial
-    return _classify_subdivision(g.n, kept)
+    return _witness_by_deletion(g)
+
+
+def _witness_by_deletion(g: Graph) -> KuratowskiWitness:
+    """Delete each edge of the non-planar g in sorted order unless that makes
+    the kept graph planar. Only the kept graph's 2-core is stored: a graph is
+    planar exactly when its 2-core is, so an edge outside the core is dropped
+    untested, and an edge inside is tested on the re-peeled trial core."""
+    core = _two_core(g)
+    for u, v in sorted(g.edges()):
+        if not core[u] >> v & 1:
+            continue  # a tree edge off the core: deleting it leaves the core
+        trial = list(core)
+        trial[u] &= ~(1 << v)
+        trial[v] &= ~(1 << u)
+        _peel(trial, [u, v])
+        if not lr_is_planar(Graph(g.n, trial, _checked=True)):
+            core = trial
+    return _classify_subdivision(g.n, list(Graph(g.n, core, _checked=True).edges()))
 
 
 def _classify_subdivision(n: int, edges: list[tuple[int, int]]) -> KuratowskiWitness:
@@ -506,7 +576,7 @@ def is_planar(g: Graph) -> PlanarityVerdict:
         if not verify_embedding(g, rotation):
             raise AssertionError("embedding failed Euler verification; solver bug")
         return PlanarityVerdict(True, rotation, None)
-    witness = kuratowski_witness(g)
+    witness = _witness_by_deletion(g)
     if not verify_kuratowski(g, witness):
         raise AssertionError("Kuratowski witness failed verification; solver bug")
     return PlanarityVerdict(False, None, witness)

@@ -4,8 +4,9 @@ CSV summaries, resumable checkpoints, and the minimum-order survey.
 Records are written in input order even when per-graph checks fan out to a
 process pool, so identical inputs yield byte-identical outputs at any job
 count. Checkpoints are written atomically (write-new-then-rename) and bind
-to the source via an identity string; resuming replays the aggregates and
-truncates the record file to the checkpointed byte count.
+to the source via an identity string and to the record file via the sha256
+of its checkpointed prefix; resuming checks that prefix, replays the
+aggregates and truncates the record file to the checkpointed byte count.
 """
 
 from __future__ import annotations
@@ -116,6 +117,7 @@ class Checkpoint:
     checks: tuple[str, ...]
     last_index: int
     records_bytes: int
+    records_sha256: str  # digest of the record file's first records_bytes
     summary_state: dict
 
     def save(self, path: str | Path) -> None:
@@ -125,6 +127,7 @@ class Checkpoint:
             "checks": list(self.checks),
             "last_index": self.last_index,
             "records_bytes": self.records_bytes,
+            "records_sha256": self.records_sha256,
             "summary_state": self.summary_state,
         }
         tmp = path.with_suffix(path.suffix + ".tmp")
@@ -134,11 +137,17 @@ class Checkpoint:
     @staticmethod
     def load(path: str | Path) -> "Checkpoint":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if "records_sha256" not in data:
+            raise ScanError(
+                f"checkpoint {path} has no records_sha256, so its record file "
+                "cannot be checked; delete the checkpoint and scan again"
+            )
         return Checkpoint(
             source_id=data["source_id"],
             checks=tuple(data["checks"]),
             last_index=data["last_index"],
             records_bytes=data["records_bytes"],
+            records_sha256=data["records_sha256"],
             summary_state=data["summary_state"],
         )
 
@@ -201,6 +210,19 @@ def _iter_results(payloads, jobs: int):
 # Streaming scan
 
 
+def _prefix_sha256(path: Path, size: int):
+    """Running sha256 of the first `size` bytes of a file, read in chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while size > 0:
+            chunk = f.read(min(size, 1 << 20))
+            if not chunk:
+                break
+            digest.update(chunk)
+            size -= len(chunk)
+    return digest
+
+
 def scan_stream(
     lines: Iterable[str],
     checks: Collection[str] = ("invariants",),
@@ -230,6 +252,7 @@ def scan_stream(
     resume_from = -1
     summary = ScanSummary(source_id=source_id, checks=checks_t)
     records_bytes = 0
+    records_hash = hashlib.sha256()
     if checkpoint_path is not None and Path(checkpoint_path).exists():
         cp = Checkpoint.load(checkpoint_path)
         if cp.source_id != source_id or cp.checks != checks_t:
@@ -254,6 +277,12 @@ def scan_stream(
                 raise ScanError(
                     f"record file {out_path} has {size} bytes, fewer than the "
                     f"{records_bytes} its checkpoint covers"
+                )
+            records_hash = _prefix_sha256(out_path, records_bytes)
+            if records_hash.hexdigest() != cp.records_sha256:
+                raise ScanError(
+                    f"record file {out_path} differs from the {records_bytes} "
+                    "bytes its checkpoint covers"
                 )
             out_file = open(out_path, "r+", encoding="utf-8")
             out_file.truncate(records_bytes)
@@ -292,7 +321,9 @@ def scan_stream(
             if out_file is not None:
                 text = record.to_json_line() + "\n"
                 out_file.write(text)
-                records_bytes += len(text.encode("utf-8"))
+                data = text.encode("utf-8")
+                records_hash.update(data)
+                records_bytes += len(data)
             last_index = index
             if (
                 checkpoint_path is not None
@@ -301,7 +332,8 @@ def scan_stream(
                 if out_file is not None:
                     out_file.flush()
                 Checkpoint(
-                    source_id, checks_t, last_index, records_bytes, summary.to_state()
+                    source_id, checks_t, last_index, records_bytes,
+                    records_hash.hexdigest(), summary.to_state(),
                 ).save(checkpoint_path)
     finally:
         if out_file is not None:
@@ -309,7 +341,8 @@ def scan_stream(
 
     if checkpoint_path is not None:
         Checkpoint(
-            source_id, checks_t, last_index, records_bytes, summary.to_state()
+            source_id, checks_t, last_index, records_bytes,
+            records_hash.hexdigest(), summary.to_state(),
         ).save(checkpoint_path)
     if summary_path is not None:
         Path(summary_path).write_text(summary.to_csv(), encoding="utf-8")

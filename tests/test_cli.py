@@ -174,6 +174,20 @@ def test_scan_refuses_to_resume_into_a_truncated_record_file(capsys, tmp_path):
     assert out.stat().st_size == 1000 and b"\0" not in out.read_bytes()
 
 
+def test_scan_refuses_to_resume_into_an_edited_record_file(capsys, tmp_path):
+    src = tmp_path / "n5.g6"
+    src.write_text("".join(to_graph6(g) + "\n" for g in enumerate_connected(5)))
+    out = tmp_path / "records.jsonl"
+    argv = ["scan", "--source", str(src), "--out", str(out), "--checkpoint", str(tmp_path / "cp.json")]
+    assert run_cli(capsys, argv)[0] == 0
+    text = out.read_text()
+    at = text.index('"gamma":') + len('"gamma":')
+    out.write_text(text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:])
+    code, stdout, err = run_cli(capsys, argv)
+    assert code == 2 and stdout == ""
+    assert "differs from" in err
+
+
 def test_scan_stdin_checkpoint_is_bound_to_the_stream(capsys, tmp_path, monkeypatch):
     n4 = "".join(to_graph6(g) + "\n" for g in enumerate_connected(4))
     n5 = "".join(to_graph6(g) + "\n" for g in enumerate_connected(5))

@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -7,9 +12,13 @@ import pytest
 from domchrom import naive
 from domchrom.constructions import DOddSpec, build_d_odd, build_d3, enumerate_d3_blueprints
 from domchrom.enumeration import enumerate_connected
+from domchrom import planarity
+from domchrom.graph6 import to_graph6
 from domchrom.graphs import GraphError, complete_bipartite, from_edge_list
 from domchrom.planarity import (
     KuratowskiWitness,
+    _too_few_branch_vertices,
+    _two_core,
     is_planar,
     kuratowski_witness,
     lr_is_planar,
@@ -150,3 +159,102 @@ def test_d3_members_are_nonplanar_with_k33_witnesses():
         verdict = is_planar(g)
         assert not verdict.planar
         assert verify_kuratowski(g, verdict.witness)
+
+
+def networkx_planar(g) -> bool:
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    return nx.check_planarity(G)[0]
+
+
+def screened_planar(g) -> bool:
+    return _too_few_branch_vertices(_two_core(g))
+
+
+def assert_witnesses_match_oracle(graphs, monkeypatch):
+    """kuratowski_witness equals the one-LR-run-per-edge oracle, and every
+    deletion trial the 2-core screen calls planar is planar."""
+    trials = []
+
+    def recording(h):
+        trials.append(h)
+        return lr_is_planar(h)
+
+    monkeypatch.setattr(planarity, "lr_is_planar", recording)
+    for g in graphs:
+        assert kuratowski_witness(g) == naive.kuratowski_by_deletion(g)
+    assert trials
+    for h in trials:
+        if screened_planar(h):
+            assert networkx_planar(h)
+
+
+def test_witness_matches_deletion_oracle_through_n7(monkeypatch):
+    nonplanar = [
+        g for n in range(5, 8) for g in enumerate_connected(n) if not lr_is_planar(g)
+    ]
+    assert len(nonplanar) == 221
+    assert_witnesses_match_oracle(nonplanar, monkeypatch)
+
+
+def test_witness_matches_deletion_oracle_on_d3_blueprints(monkeypatch):
+    pool = [
+        bp
+        for a in (3, 4, 5)
+        for b in (3, 4, 5)
+        for bp in enumerate_d3_blueprints(a, b)
+    ]
+    assert len(pool) == 3268
+    assert_witnesses_match_oracle([build_d3(bp)[0] for bp in pool[::8]], monkeypatch)
+
+
+def test_two_core_screen_is_sound_through_n7():
+    screened = 0
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            if screened_planar(g):
+                screened += 1
+                assert networkx_planar(g)
+    assert screened > 0
+
+
+def ladder(rungs: int):
+    edges = [(2 * i, 2 * i + 1) for i in range(rungs)]
+    edges += [(2 * i + s, 2 * i + 2 + s) for i in range(rungs - 1) for s in (0, 1)]
+    return from_edge_list(2 * rungs, edges)
+
+
+def test_deep_ladder_gets_a_verdict():
+    # planar, all degrees 3 but the corners, so the screen does not decide it
+    g = ladder(1000)
+    assert not screened_planar(g)
+    assert lr_is_planar(g)
+    verdict = is_planar(g)
+    assert verdict.planar and verify_embedding(g, verdict.embedding)
+
+
+def test_deeply_subdivided_k33_gets_a_witness():
+    k33, _ = complete_bipartite(3, 3)
+    edges, n = [], 6
+    for u, v in k33.edges():
+        path = [u] + list(range(n, n + 299)) + [v]
+        n += 299
+        edges += list(zip(path, path[1:]))
+    g = from_edge_list(n, edges)
+    verdict = is_planar(g)
+    assert not verdict.planar and verdict.witness.kind == "K33"
+    assert verify_kuratowski(g, verdict.witness)
+    assert all(len(p) == 301 for p in verdict.witness.paths)
+
+
+def test_scan_cli_decides_the_deep_ladder():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "domchrom", "scan", "--source", "-", "--checks", "planarity"],
+        input=to_graph6(ladder(1000)) + "\n", capture_output=True, text=True,
+        timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["total"] == 1

@@ -149,6 +149,34 @@ def test_checkpoint_resume_is_byte_identical(tmp_path):
     assert part_sum.read_bytes() == full_sum.read_bytes()
 
 
+def test_resume_refuses_a_record_file_edited_in_place(tmp_path):
+    lines = lines_for(5)
+    out = tmp_path / "records.jsonl"
+    cp = tmp_path / "cp.json"
+    scan_stream(lines[:10], checks=("invariants",), out_path=out, checkpoint_path=cp, source_id="n5")
+    text = out.read_text()
+    at = text.index('"gamma":') + len('"gamma":')
+    digit = text[at]
+    edited = text[:at] + str((int(digit) + 1) % 10) + text[at + 1:]
+    out.write_text(edited)
+    with pytest.raises(ScanError, match="differs from"):
+        scan_stream(lines, checks=("invariants",), out_path=out, checkpoint_path=cp, source_id="n5")
+    # refused before the record file is touched
+    assert out.read_text() == edited
+
+
+def test_resume_refuses_a_checkpoint_without_a_records_digest(tmp_path):
+    lines = lines_for(4)
+    out = tmp_path / "records.jsonl"
+    cp = tmp_path / "cp.json"
+    scan_stream(lines[:3], checks=("invariants",), out_path=out, checkpoint_path=cp, source_id="n4")
+    payload = json.loads(cp.read_text())
+    del payload["records_sha256"]
+    cp.write_text(json.dumps(payload))
+    with pytest.raises(ScanError, match="no records_sha256"):
+        scan_stream(lines, checks=("invariants",), out_path=out, checkpoint_path=cp, source_id="n4")
+
+
 def test_checkpoint_source_mismatch_aborts(tmp_path):
     lines = lines_for(4)
     out = tmp_path / "o.jsonl"
