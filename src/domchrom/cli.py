@@ -55,6 +55,14 @@ def _witness_json(witness):
     return {"kind": witness.kind, "vertices": sorted(witness.vertices)}
 
 
+def _kuratowski_json(witness) -> dict:
+    return {
+        "kind": witness.kind,
+        "branch_vertices": list(witness.branch_vertices),
+        "paths": [list(p) for p in witness.paths],
+    }
+
+
 def _report_json(report, graph6: str) -> dict:
     payload = report.record(graph6)
     payload["witnesses"] = {
@@ -120,11 +128,7 @@ def _cmd_planar(args) -> int:
     if verdict.planar:
         payload["embedding"] = [list(r) for r in verdict.embedding]
     else:
-        payload["witness"] = {
-            "kind": verdict.witness.kind,
-            "branch_vertices": list(verdict.witness.branch_vertices),
-            "paths": [list(p) for p in verdict.witness.paths],
-        }
+        payload["witness"] = _kuratowski_json(verdict.witness)
     _emit(payload)
     return EXIT_OK
 
@@ -138,11 +142,7 @@ def _cmd_verify(args) -> int:
         verdict = is_planar(g)
         payload = {"check": "planar", "verdict": verdict.planar}
         if not verdict.planar:
-            payload["witness"] = {
-                "kind": verdict.witness.kind,
-                "branch_vertices": list(verdict.witness.branch_vertices),
-                "paths": [list(p) for p in verdict.witness.paths],
-            }
+            payload["witness"] = _kuratowski_json(verdict.witness)
             exit_code = EXIT_PROPERTY_FALSE
         _emit(payload)
     if args.theorem1:

@@ -11,7 +11,7 @@ are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .graphs import Graph, GraphError, VertexLabeling, from_edge_list
 
@@ -262,36 +262,36 @@ class BlueprintVerdict:
         return self.ok
 
 
-def _blueprint_edges(bp: D3Blueprint) -> list[tuple[int, int]]:
-    edges = []
+def _blueprint_graph(bp: D3Blueprint, labels: Sequence[int] | None = None) -> Graph:
+    """The graph the blueprint's edge rules give, with canonical index i at
+    vertex labels[i] (by default at vertex i)."""
+    n = bp.a + bp.b + 1
+    at = range(n) if labels is None else labels
+    bit = [1 << v for v in at]
+    rows = [0] * n
+    v1_mask = sum(bit[: bp.a])
+    v2_mask = sum(bit[bp.a : bp.x3])
+    x3_bit = bit[bp.x3]
+
+    def join(i: int, mask: int) -> None:
+        rows[at[i]] |= mask
+        while mask:
+            low = mask & -mask
+            rows[low.bit_length() - 1] |= bit[i]
+            mask ^= low
+
     # rule 1: y1 joined to all of V1, y2 joined to all of V2
-    for v in bp.v1_vertices():
-        edges.append((bp.y1, v))
-    for v in bp.v2_vertices():
-        if v != bp.y1:
-            edges.append((bp.y2, v))
+    join(bp.y1, v1_mask)
+    join(bp.y2, v2_mask)
     # rule 2: x1-x3 plus chosen extras in V2 - {y3}
-    edges.append((bp.x1, bp.x3))
-    for v in bp.rule2_set:
-        edges.append((bp.x1, v))
+    join(bp.x1, x3_bit | sum(bit[i] for i in bp.rule2_set))
     # rule 3: y3-x3 plus chosen extras in V1 - {x1}
-    edges.append((bp.y3, bp.x3))
-    for v in bp.rule3_set:
-        edges.append((bp.y3, v))
+    join(bp.y3, x3_bit | sum(bit[i] for i in bp.rule3_set))
     # rule 4: every remaining vertex joined to the opposite class or to x3
-    for v in bp.v1_free():
-        if bp.rule4_assign[v] == OPPOSITE:
-            for uvert in bp.v2_vertices():
-                edges.append((v, uvert))
-        else:
-            edges.append((v, bp.x3))
-    for v in bp.v2_free():
-        if bp.rule4_assign[v] == OPPOSITE:
-            for uvert in bp.v1_vertices():
-                edges.append((v, uvert))
-        else:
-            edges.append((v, bp.x3))
-    return edges
+    for free, opposite in ((bp.v1_free(), v2_mask), (bp.v2_free(), v1_mask)):
+        for i in free:
+            join(i, opposite if bp.rule4_assign[i] == OPPOSITE else x3_bit)
+    return Graph(n, rows, _checked=True)
 
 
 def _check_shape(bp: D3Blueprint) -> None:
@@ -321,7 +321,7 @@ def validate_blueprint(bp: D3Blueprint) -> BlueprintVerdict:
     if violations:
         return BlueprintVerdict(False, tuple(violations))
     _check_shape(bp)
-    g = from_edge_list(bp.a + bp.b + 1, _blueprint_edges(bp))
+    g = _blueprint_graph(bp)
     v1_mask = sum(1 << v for v in bp.v1_vertices())
     v2_mask = sum(1 << v for v in bp.v2_vertices())
     x3 = bp.x3
@@ -370,8 +370,8 @@ def build_d3(bp: D3Blueprint) -> tuple[Graph, VertexLabeling]:
             name + (f" witness {w}" if w else "") for name, w in verdict.violations
         )
         raise GraphError(f"blueprint violates the class rules: {details}")
-    n = bp.a + bp.b + 1
-    g = from_edge_list(n, _blueprint_edges(bp))
+    g = _blueprint_graph(bp)
+    n = g.n
     labeling = VertexLabeling(
         {
             "x1": bp.x1,

@@ -84,10 +84,6 @@ class Graph:
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(row.bit_count() for row in self.adj))
 
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph(self.n, (full & ~row & ~(1 << v) for v, row in enumerate(self.adj)), _checked=True)
-
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph, vertices reindexed in the given (sorted) order."""
         vs = sorted(set(vertices))
@@ -143,37 +139,53 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, rows, _checked=True)
 
 
+def _bfs_layers(g: Graph, mask: int) -> list[int]:
+    """Breadth-first layers of G[mask] from mask's least vertex, as disjoint
+    bitmasks; their union is that vertex's component in G[mask]."""
+    frontier = mask & -mask
+    seen = frontier
+    layers = []
+    while frontier:
+        layers.append(frontier)
+        nxt = 0
+        for v in iter_bits(frontier):
+            nxt |= g.adj[v]
+        frontier = nxt & mask & ~seen
+        seen |= frontier
+    return layers
+
+
 def is_connected(g: Graph) -> bool:
     """True iff a traversal from vertex 0 reaches all vertices. Rejects n=0."""
     if g.n == 0:
         raise GraphError("connectivity is undefined for the empty graph")
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    full = (1 << g.n) - 1
+    return sum(_bfs_layers(g, full)) == full
 
 
 def connected_component_masks(g: Graph) -> list[int]:
     remaining = (1 << g.n) - 1
     comps = []
     while remaining:
-        start = remaining & -remaining
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        comps.append(seen)
-        remaining &= ~seen
+        comp = sum(_bfs_layers(g, remaining))
+        comps.append(comp)
+        remaining &= ~comp
     return comps
+
+
+def bipartition(g: Graph, mask: int) -> tuple[int, int] | None:
+    """The two colour classes of G[mask], the side holding mask's least vertex
+    first; None when G[mask] is empty, disconnected or not bipartite."""
+    sides = [0, 0]
+    for depth, layer in enumerate(_bfs_layers(g, mask)):
+        sides[depth & 1] |= layer
+    if not mask or sides[0] | sides[1] != mask:
+        return None
+    for side in sides:
+        for v in iter_bits(side):
+            if g.adj[v] & side:
+                return None  # an edge inside a layer closes an odd cycle
+    return sides[0], sides[1]
 
 
 class VertexLabeling:
@@ -250,25 +262,13 @@ def complete_bipartite(p: int, q: int) -> tuple[Graph, VertexLabeling]:
 def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
     """(p, q) with p <= q when the graph is a complete bipartite K_{p,q},
     else None (in particular for disconnected or single-vertex input)."""
-    if g.n < 2 or not is_connected(g):
+    parts = bipartition(g, (1 << g.n) - 1)
+    if g.n < 2 or parts is None:
         return None
-    color = [-1] * g.n
-    color[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for u in iter_bits(g.adj[v]):
-            if color[u] == -1:
-                color[u] = 1 - color[v]
-                queue.append(u)
-            elif color[u] == color[v]:
-                return None  # odd cycle
-    part_a = [v for v in range(g.n) if color[v] == 0]
-    part_b = [v for v in range(g.n) if color[v] == 1]
-    if g.edge_count() != len(part_a) * len(part_b):
+    p, q = sorted(side.bit_count() for side in parts)
+    if g.edge_count() != p * q:
         return None
-    sizes = sorted((len(part_a), len(part_b)))
-    return sizes[0], sizes[1]
+    return p, q
 
 
 def to_dot(g: Graph, labeling: VertexLabeling | None = None, name: str = "G") -> str:

@@ -177,11 +177,6 @@ def _order_bits(g: Graph, order: Sequence[int]) -> int:
     return bits
 
 
-def adjacency_bits(g: Graph) -> int:
-    """Upper-triangle adjacency packed into an int (row-major, msb first)."""
-    return _order_bits(g, range(g.n))
-
-
 def canonical_form(g: Graph) -> int:
     """Minimum adjacency encoding over all vertex permutations."""
     return min(_order_bits(g, perm) for perm in permutations(range(g.n)))

@@ -198,11 +198,12 @@ def _evaluate(
 
 
 def _iter_results(payloads, jobs: int):
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
         for item in payloads:
             yield _evaluate(item)
     else:
-        with multiprocessing.Pool(processes=jobs) as pool:
+        with multiprocessing.Pool(processes=workers) as pool:
             yield from pool.imap(_evaluate, payloads, chunksize=8)
 
 
@@ -242,12 +243,16 @@ def scan_stream(
     the scan under strict=True; otherwise its record index and source line
     number go to the summary's skipped list. When a checkpoint exists for
     the same source, the scan resumes after the last completed record and
-    reproduces the aggregates exactly.
+    reproduces the aggregates exactly. jobs must be at least 1; more than
+    one fans the checks out to a process pool of at most os.cpu_count()
+    workers.
     """
     checks_t = tuple(c for c in KNOWN_CHECKS if c in set(checks))
     unknown = set(checks) - set(KNOWN_CHECKS)
     if unknown:
         raise ScanError(f"unknown checks: {sorted(unknown)}")
+    if jobs < 1:
+        raise ScanError(f"jobs must be at least 1, got {jobs}")
 
     resume_from = -1
     summary = ScanSummary(source_id=source_id, checks=checks_t)

@@ -3,17 +3,25 @@
 Covers: the two-part optimal-coloring property (every class dominated,
 every vertex dominates exactly one class), total dominating transversals,
 domination chains between color classes, and membership in the rule-based
-three-class family via exhaustive role-assignment search.
+three-class family via exhaustive role-assignment search. Membership reads
+a blueprint off each role assignment and accepts it when the blueprint's
+edge rules rebuild the graph and it passes `validate_blueprint`, so the
+class rules live only in constructions.py.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
 
-from .constructions import OPPOSITE, SINGLETON, D3Blueprint, validate_blueprint
-from .graphs import Graph, GraphError, is_connected, iter_bits, mask_of
+from .constructions import (
+    OPPOSITE,
+    SINGLETON,
+    D3Blueprint,
+    _blueprint_graph,
+    validate_blueprint,
+)
+from .graphs import Graph, GraphError, bipartition, is_connected, iter_bits
 from .invariants import (
     Coloring,
     InvariantReport,
@@ -174,48 +182,14 @@ def find_total_dominating_transversal(
 # Membership in the rule-based three-class family.
 
 
-def _bipartitions(g: Graph, vertices_mask: int):
-    """All splits of the induced subgraph into two independent sets, as
-    (mask1, mask2) pairs; both orders are produced (the sides play
-    different roles)."""
-    verts = list(iter_bits(vertices_mask))
-    color: dict[int, int] = {}
-    comps: list[tuple[list[int], list[int]]] = []
-    for start in verts:
-        if start in color:
-            continue
-        color[start] = 0
-        side = ([start], [])
-        queue = [start]
-        ok = True
-        while queue:
-            v = queue.pop()
-            for u in iter_bits(g.adj[v] & vertices_mask):
-                if u not in color:
-                    color[u] = 1 - color[v]
-                    side[color[u]].append(u)
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    ok = False
-        if not ok:
-            return  # an odd cycle: no independent bipartition at all
-        comps.append(side)
-    for flips in product((0, 1), repeat=len(comps)):
-        m1 = 0
-        m2 = 0
-        for flip, (side0, side1) in zip(flips, comps):
-            a, b = (side0, side1) if flip == 0 else (side1, side0)
-            m1 |= mask_of(a)
-            m2 |= mask_of(b)
-        yield m1, m2
-
-
 def is_in_class_d3(g: Graph, deadline_secs: float | None = None) -> D3Blueprint | None:
     """Search all role assignments for one under which G matches the
     three-class construction rules; returns the extracted blueprint or None.
 
-    Candidate singleton-class vertices are tried in increasing degree order;
-    raises DeadlineExceeded once the optional budget runs out, checked per split.
+    Candidate singleton-class vertices x3 are tried in increasing degree
+    order. Only a connected G - x3 can match (y1 and y2 join V1 and V2), so
+    its unique bipartition is tried in both orders. Raises DeadlineExceeded
+    once the optional budget runs out, checked per split.
     """
     if g.n == 0 or not is_connected(g):
         raise GraphError("membership search requires a connected graph")
@@ -224,8 +198,10 @@ def is_in_class_d3(g: Graph, deadline_secs: float | None = None) -> D3Blueprint 
     deadline = None if deadline_secs is None else time.monotonic() + deadline_secs
     full = (1 << g.n) - 1
     for x3 in sorted(range(g.n), key=lambda v: (g.degree(v), v)):
-        rest = full & ~(1 << x3)
-        for v1_mask, v2_mask in _bipartitions(g, rest):
+        sides = bipartition(g, full & ~(1 << x3))
+        if sides is None:
+            continue
+        for v1_mask, v2_mask in (sides, sides[::-1]):
             if deadline is not None and time.monotonic() > deadline:
                 raise DeadlineExceeded("membership search exceeded its deadline")
             if v1_mask.bit_count() < 3 or v2_mask.bit_count() < 3:
@@ -256,87 +232,33 @@ def _match_roles(g: Graph, x3: int, v1_mask: int, v2_mask: int) -> D3Blueprint |
                 for y2 in y2_candidates:
                     if y2 == x1 or adj[x3] >> y2 & 1:
                         continue
-                    bp = _check_rules(g, x3, v1_mask, v2_mask, x1, y1, y2, y3)
+                    bp = _read_blueprint(g, x3, v1_mask, v2_mask, x1, y1, y2, y3)
                     if bp is not None:
                         return bp
     return None
 
 
-def _check_rules(
+def _read_blueprint(
     g: Graph, x3: int, v1_mask: int, v2_mask: int, x1: int, y1: int, y2: int, y3: int
 ) -> D3Blueprint | None:
+    """The blueprint the roles spell out, or None unless its edge rules
+    rebuild G under the role relabelling and it passes the class rules."""
     adj = g.adj
-    v1_free = [v for v in iter_bits(v1_mask) if v not in (x1, y2)]
-    v2_free = [v for v in iter_bits(v2_mask) if v not in (y1, y3)]
-    assign: dict[int, str] = {}
-    for v in v1_free:
-        dominates_v2 = v2_mask & ~adj[v] == 0
-        meets_x3 = bool(adj[v] >> x3 & 1)
-        if dominates_v2 == meets_x3:
-            return None  # rule 4 requires exactly one
-        assign[v] = OPPOSITE if dominates_v2 else SINGLETON
-    for v in v2_free:
-        dominates_v1 = v1_mask & ~adj[v] == 0
-        meets_x3 = bool(adj[v] >> x3 & 1)
-        if dominates_v1 == meets_x3:
-            return None
-        assign[v] = OPPOSITE if dominates_v1 else SINGLETON
-    # rule 4 tail
-    if (v1_mask & ~adj[x3]).bit_count() < 2 or (v2_mask & ~adj[x3]).bit_count() < 2:
-        return None
-    # every cross edge must be producible by some rule: an edge between two
-    # "joined to x3" free vertices has no generating rule
-    for v in v1_free:
-        if assign[v] == SINGLETON:
-            for u in iter_bits(adj[v] & v2_mask):
-                if assign.get(u) == SINGLETON:
-                    return None
-    # x1's cross neighbors must avoid y3 (checked) -- any subset of the rest
-    # is rule 2; y3's neighbors in V1 avoid x1 (checked) -- rule 3; nothing
-    # else to constrain beyond rule 5:
-    for v in iter_bits(v1_mask):
-        v_non = v2_mask & ~adj[v]
-        for u in iter_bits(v_non):
-            x_other = v_non & ~(1 << u)
-            y_other = v1_mask & ~adj[u] & ~(1 << v)
-            if x_other == 0 and y_other == 0:
-                return None  # rule 5 violated
-    return _extract_blueprint(g, x3, v1_mask, v2_mask, x1, y1, y2, y3, assign)
-
-
-def _extract_blueprint(
-    g: Graph,
-    x3: int,
-    v1_mask: int,
-    v2_mask: int,
-    x1: int,
-    y1: int,
-    y2: int,
-    y3: int,
-    assign: dict[int, str],
-) -> D3Blueprint:
-    """Map the matched roles onto the canonical blueprint index space."""
-    v1_rest = sorted(v for v in iter_bits(v1_mask) if v not in (x1, y2))
-    v2_rest = sorted(v for v in iter_bits(v2_mask) if v not in (y1, y3))
-    a = 2 + len(v1_rest)
-    b = 2 + len(v2_rest)
-    index_of = {x1: 0, y2: 1}
-    for i, v in enumerate(v1_rest):
-        index_of[v] = 2 + i
-    index_of[y1] = a
-    index_of[y3] = a + 1
-    for i, v in enumerate(v2_rest):
-        index_of[v] = a + 2 + i
-    index_of[x3] = a + b
-    rule2 = frozenset(
-        index_of[u] for u in iter_bits(g.adj[x1] & v2_mask) if u not in (y1, y3)
-    )
-    rule3 = frozenset(
-        index_of[u] for u in iter_bits(g.adj[y3] & v1_mask) if u not in (x1, y2)
-    )
-    rule4 = {index_of[v]: target for v, target in assign.items()}
+    v1_free = list(iter_bits(v1_mask & ~(1 << x1 | 1 << y2)))
+    v2_free = list(iter_bits(v2_mask & ~(1 << y1 | 1 << y3)))
+    # order[i] is the vertex of G at canonical blueprint index i
+    order = [x1, y2, *v1_free, y1, y3, *v2_free, x3]
+    a = 2 + len(v1_free)
+    b = 2 + len(v2_free)
+    # rule 4 read off: a free vertex that dominates the opposite class is
+    # OPPOSITE, any other is joined to x3; the rebuild rejects a misreading
+    rule4 = {}
+    for first, free, opposite in ((2, v1_free, v2_mask), (a + 2, v2_free, v1_mask)):
+        for i, v in enumerate(free, first):
+            rule4[i] = OPPOSITE if opposite & ~adj[v] == 0 else SINGLETON
+    rule2 = frozenset(i for i in range(a + 2, a + b) if adj[x1] >> order[i] & 1)
+    rule3 = frozenset(i for i in range(2, a) if adj[y3] >> order[i] & 1)
     bp = D3Blueprint(a, b, rule2, rule3, rule4)
-    verdict = validate_blueprint(bp)
-    if not verdict.ok:
-        raise AssertionError(f"extracted blueprint failed validation: {verdict.violations}")
+    if _blueprint_graph(bp, order) != g or not validate_blueprint(bp).ok:
+        return None
     return bp

@@ -216,6 +216,18 @@ def test_jobs_env_rejected_when_malformed(capsys, monkeypatch):
     assert err.startswith("error:") and "DOMCHROM_JOBS" in err
 
 
+def test_scan_rejects_jobs_below_one(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "records.jsonl"
+    code, stdout, err = run_cli(capsys, ["scan", "--builtin", "3", "--jobs", "0", "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "jobs" in err
+    assert not out.exists()
+    monkeypatch.setenv("DOMCHROM_JOBS", "-1")
+    code, stdout, err = run_cli(capsys, ["scan", "--builtin", "3"])
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "-1" in err
+
+
 def test_console_script_subprocess():
     import shutil
     import subprocess

@@ -4,8 +4,10 @@ from domchrom.graphs import (
     Graph,
     GraphError,
     VertexLabeling,
+    bipartition,
     complete_bipartite,
     complete_bipartite_parts,
+    connected_component_masks,
     from_edge_list,
     is_connected,
     to_dot,
@@ -74,6 +76,32 @@ def test_is_connected():
     assert is_connected(from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     with pytest.raises(GraphError):
         is_connected(from_edge_list(0, []))
+
+
+def test_bipartition_none_when_disconnected_or_odd():
+    two_edges = from_edge_list(4, [(0, 1), (2, 3)])
+    assert bipartition(two_edges, 0b1111) is None
+    assert bipartition(two_edges, 0b0011) == (0b0001, 0b0010)
+    c5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    assert bipartition(c5, 0b11111) is None
+    # deleting a vertex of C5 leaves a path, which splits
+    assert bipartition(c5, 0b11110) == (0b01010, 0b10100)
+
+
+def test_bipartition_puts_the_least_vertex_side_first():
+    path = from_edge_list(5, [(3, 1), (1, 4), (4, 0), (0, 2)])
+    assert bipartition(path, 0b11111) == (0b00011, 0b11100)
+    # on the path 3-1-4 the least vertex, 1, is the middle one
+    assert bipartition(path, 0b11010) == (0b00010, 0b11000)
+    k23, _ = complete_bipartite(2, 3)
+    assert bipartition(k23, 0b11111) == (0b00011, 0b11100)
+    swapped = k23.permuted([2, 3, 0, 1, 4])
+    assert bipartition(swapped, 0b11111) == (0b10011, 0b01100)
+
+
+def test_connected_component_masks_three_components():
+    g = from_edge_list(7, [(0, 4), (4, 6), (1, 5), (2, 5)])
+    assert connected_component_masks(g) == [0b1010001, 0b0100110, 0b0001000]
 
 
 def test_complete_bipartite_shapes():

@@ -117,6 +117,40 @@ def test_scan_jobs_deterministic(tmp_path):
     assert all(o == outputs[0] for o in outputs)
 
 
+def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch):
+    import domchrom.scan as scan
+
+    class FakePool:
+        """Records its size and evaluates in this process."""
+
+        sizes = []
+
+        def __init__(self, processes):
+            self.sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, items, chunksize=1):
+            return map(func, items)
+
+    monkeypatch.setattr(scan.multiprocessing, "Pool", FakePool)
+    lines = lines_for(4)
+    expected = []
+    scan_stream(lines, records_sink=expected, source_id="n4")
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
+    sink = []
+    scan_stream(lines, records_sink=sink, source_id="n4", jobs=100000)
+    assert FakePool.sizes == [2] and sink == expected
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: 1)
+    sink = []
+    scan_stream(lines, records_sink=sink, source_id="n4", jobs=2)
+    assert FakePool.sizes == [2] and sink == expected
+
+
 def test_checkpoint_resume_is_byte_identical(tmp_path):
     lines = lines_for(6)
     full_out = tmp_path / "full.jsonl"

@@ -1,3 +1,6 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from domchrom.constructions import (
@@ -9,7 +12,8 @@ from domchrom.constructions import (
     enumerate_d3_blueprints,
     validate_blueprint,
 )
-from domchrom.enumeration import are_isomorphic
+from domchrom.enumeration import are_isomorphic, canonical_form, enumerate_connected
+from domchrom.graph6 import parse_graph6
 from domchrom.graphs import GraphError, complete_bipartite, from_edge_list
 from domchrom.invariants import Coloring, is_total_dominating_set
 from domchrom.naive import (
@@ -24,6 +28,7 @@ from domchrom.structure import (
     is_in_class_d3,
 )
 
+ORDER8 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "order8.g6"
 TRIANGLE_PENDANT = from_edge_list(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
 TWO_TRIANGLES = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 BRIDGED_TRIANGLES = from_edge_list(
@@ -146,6 +151,45 @@ def test_membership_round_trip_through_the_class():
             assert validate_blueprint(extracted).ok
             g2, _ = build_d3(extracted)
             assert are_isomorphic(g, g2)
+
+
+def test_membership_is_exactly_the_class_through_order_8():
+    # the class up to isomorphism: canonical forms of every valid blueprint
+    # with a + b + 1 = n
+    forms = {n: set() for n in range(1, 9)}
+    for n in (7, 8):
+        for a in range(3, n - 3):
+            for bp in enumerate_d3_blueprints(a, n - 1 - a):
+                forms[n].add(canonical_form(build_d3(bp)[0]))
+    assert len(forms[7]) == 0 and len(forms[8]) == 1
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    graphs += [parse_graph6(line) for line in ORDER8.read_text().split()]
+    assert len(graphs) == 996 + 11117
+    members = 0
+    for g in graphs:
+        member = is_in_class_d3(g) is not None
+        assert member == (canonical_form(g) in forms[g.n])
+        members += member
+    assert members == 1
+
+
+def test_membership_recognises_relabelled_blueprints():
+    pool = [
+        bp
+        for a in (3, 4, 5)
+        for b in (3, 4, 5)
+        for bp in enumerate_d3_blueprints(a, b)
+    ]
+    assert len(pool) == 3268
+    rng = random.Random(7)
+    for bp in pool[::8]:
+        g, _ = build_d3(bp)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabelled = g.permuted(perm)
+        extracted = is_in_class_d3(relabelled)
+        assert extracted is not None
+        assert are_isomorphic(build_d3(extracted)[0], relabelled)
 
 
 def test_membership_rejections():
