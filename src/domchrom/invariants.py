@@ -6,15 +6,19 @@ stage, and each witness only when the consumer asks for it, so the scan's
 values-only path and the full report share every rule.
 
 Solver strategy: domination numbers by branch-and-bound on the set of
-undominated vertices. The chromatic numbers share one coloring search,
-clique vertices first and then by degree, with the dominator/dominated side
-constraint propagated incrementally; given a forced prefix (vertices 0..v in
-fixed classes) it is a prefix oracle. Iterative deepening on k from the
-clique bound finds each number. Lex-least witnesses and the enumeration of
-all optimal colorings walk prefixes in identity order, entering a branch
-only when the oracle completes it. Witnesses are the lexicographically least
-optimal ones (dominating sets compared as sorted vertex tuples, colorings by
-their vertex-to-class assignment sequence, classes numbered by first use).
+undominated vertices. The chromatic numbers share one iterative coloring
+search on an explicit stack, clique vertices first and then by degree. It
+runs on one state per k: each class's members and the vertices adjacent to
+all of them, from which the proper, dominator and dominated rules are all
+read, and a trail that undoes a placement by restoring two integers.
+Iterative deepening on k from the clique bound finds each number. Lex-least
+witnesses and the enumeration of all optimal colorings walk prefixes in
+identity order on the same state: the placed prefix stays placed, and the
+search, given the prefix, is an oracle that decides whether a branch
+completes, searching only the unplaced vertices. Witnesses are the
+lexicographically least optimal ones (dominating sets compared as sorted
+vertex tuples, colorings by their vertex-to-class assignment sequence,
+classes numbered by first use).
 
 Convention: a vertex dominates its own color class only when that class is
 exactly the singleton {v}. Cross-class domination always means "adjacent to
@@ -24,7 +28,8 @@ every vertex of the class".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .graphs import Graph, GraphError, is_connected, iter_bits, mask_of
 
@@ -316,17 +321,21 @@ def _lex_min_cover(n: int, covers: tuple[int, ...], size: int) -> tuple[int, ...
 
 def _cover(
     n: int, covers: tuple[int, ...], kind: str
-) -> tuple[int, Callable[[], DominatingWitness]]:
-    """Size of a smallest covering set, and a thunk for the lex-least one."""
+) -> tuple[int, Iterator[DominatingWitness]]:
+    """Size of a smallest covering set, and a lazy iterator over the lex-least one."""
     size = _min_cover_size(n, covers)
-    return size, lambda: DominatingWitness(frozenset(_lex_min_cover(n, covers, size)), kind)
+
+    def witnesses() -> Iterator[DominatingWitness]:
+        yield DominatingWitness(frozenset(_lex_min_cover(n, covers, size)), kind)
+
+    return size, witnesses()
 
 
 def domination_number(g: Graph) -> tuple[int, DominatingWitness]:
     if g.n == 0:
         raise GraphError("domination number is undefined for the empty graph")
-    gamma, witness = _cover(g.n, tuple(row | 1 << v for v, row in enumerate(g.adj)), "plain")
-    return gamma, witness()
+    gamma, witnesses = _cover(g.n, tuple(row | 1 << v for v, row in enumerate(g.adj)), "plain")
+    return gamma, next(witnesses)
 
 
 def total_domination_number(g: Graph) -> tuple[int, DominatingWitness]:
@@ -337,8 +346,8 @@ def total_domination_number(g: Graph) -> tuple[int, DominatingWitness]:
             raise UndefinedInvariantError(
                 f"total domination is undefined: vertex {v} is isolated"
             )
-    gamma_t, witness = _cover(g.n, g.adj, "total")
-    return gamma_t, witness()
+    gamma_t, witnesses = _cover(g.n, g.adj, "total")
+    return gamma_t, next(witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -346,115 +355,170 @@ def total_domination_number(g: Graph) -> tuple[int, DominatingWitness]:
 
 
 def max_clique(g: Graph) -> tuple[int, int]:
-    """(size, mask) of a maximum clique; deterministic branch order."""
+    """(size, mask) of a maximum clique; deterministic branch order.
+
+    Depth-first on an explicit stack of (size, mask, candidates) frames: a
+    frame branches on its lowest candidate, and the frame's other candidates
+    wait beneath that branch until it is exhausted.
+    """
+    adj = g.adj
     best_size = 0
     best_mask = 0
-
-    def expand(r_size: int, r_mask: int, cand: int) -> None:
-        nonlocal best_size, best_mask
+    stack = [(0, 0, (1 << g.n) - 1)]
+    while stack:
+        size, mask, cand = stack.pop()
         if cand == 0:
-            if r_size > best_size:
-                best_size = r_size
-                best_mask = r_mask
-            return
-        while cand:
-            if r_size + cand.bit_count() <= best_size:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            expand(r_size + 1, r_mask | 1 << v, cand & g.adj[v])
-
-    expand(0, 0, (1 << g.n) - 1)
+            if size > best_size:
+                best_size = size
+                best_mask = mask
+            continue
+        if size + cand.bit_count() <= best_size:
+            continue
+        low = cand & -cand
+        cand ^= low
+        if cand:
+            stack.append((size, mask, cand))
+        stack.append((size + 1, mask | low, cand & adj[low.bit_length() - 1]))
     return best_size, best_mask
 
 
 # ---------------------------------------------------------------------------
-# Coloring search: one prefix oracle for feasibility, witnesses and enumeration
+# Coloring search: one state and one prefix oracle for feasibility,
+# witnesses and enumeration
 
 _MODE_PROPER = 0
 _MODE_DOMINATOR = 1
 _MODE_DOMINATED = 2
 
 
-def _solve_coloring(
-    g: Graph,
-    k: int,
-    mode: int,
-    order: tuple[int, ...],
-    prefix: tuple[int, ...] = (),
-) -> tuple[int, ...] | None:
-    """First coloring with exactly k classes that extends `prefix`, or None.
+class _ColoringState:
+    """Vertices placed into k classes numbered by first use, with an undo trail.
 
-    Vertices 0..len(prefix)-1 take the classes given in `prefix`, numbered by
-    first use; the other vertices are searched in `order`. The solution is
-    its class-per-vertex assignment, with the prefix's classes as given and
-    the others numbered by first use along `order`.
+    members[c] is class c's vertex mask and common[c] the mask of vertices
+    adjacent to every member (all vertices while the class is empty). That
+    is all either side constraint needs, because commons only shrink and
+    classes only grow:
+    - dominated: class c can still have a dominator iff common[c] != 0;
+    - dominator: every vertex must lie in some common[c] or be the sole
+      member of its class. An unplaced vertex outside every common finds
+      all classes non-empty, so it can never be alone.
+    A trail entry (v, c, old common[c], old used) undoes one placement.
     """
-    n = g.n
-    if k <= 0 or k > n:
-        return None
-    full = (1 << n) - 1
-    adj = g.adj
-    members = [0] * k
-    cls = [-1] * n
-    # dominator mode: classes v could still fully dominate
-    pot = [(1 << k) - 1] * n
-    # dominated mode: vertices still adjacent to all of the class
-    dominators = [full] * k
 
-    def place(v: int, c: int) -> tuple[bool, list[tuple[list[int], int, int]]]:
-        """Apply the assignment, returning (ok, undo log of overwritten entries)."""
-        undo: list[tuple[list[int], int, int]] = []
-        prev = members[c]
-        members[c] |= 1 << v
-        cls[v] = c
-        ok = True
-        if mode == _MODE_DOMINATOR:
-            cbit = 1 << c
-            for u in iter_bits(full & ~adj[v]):
-                if pot[u] & cbit:
-                    undo.append((pot, u, pot[u]))
-                    pot[u] &= ~cbit
-                    # u can dominate no class now; only being a singleton saves it
-                    if pot[u] == 0 and (cls[u] == -1 or members[cls[u]] != 1 << u):
-                        ok = False
-            if ok and prev and prev.bit_count() == 1:
-                # the class's earlier sole member is no longer a singleton
-                ok = pot[prev.bit_length() - 1] != 0
-        elif mode == _MODE_DOMINATED:
-            undo.append((dominators, c, dominators[c]))
-            dominators[c] &= adj[v]
-            ok = dominators[c] != 0
-        return ok, undo
+    __slots__ = ("adj", "full", "k", "mode", "members", "common", "cls", "used", "trail")
 
-    def unplace(v: int, c: int, undo: list[tuple[list[int], int, int]]) -> None:
-        members[c] &= ~(1 << v)
-        cls[v] = -1
-        for state, i, old in undo:
-            state[i] = old
+    def __init__(self, g: Graph, k: int, mode: int):
+        self.adj = g.adj
+        self.full = (1 << g.n) - 1
+        self.k = k
+        self.mode = mode
+        self.members = [0] * k
+        self.common = [self.full] * k
+        self.cls = [-1] * g.n  # read only for placed vertices
+        self.used = 0
+        self.trail: list[tuple[int, int, int, int]] = []
 
-    for v, c in enumerate(prefix):
-        if members[c] & adj[v] or not place(v, c)[0]:
-            return None
-    rest = tuple(v for v in order if v >= len(prefix)) if prefix else order
-    m = len(rest)
+    def push(self, v: int, c: int) -> None:
+        """Place v into class c, known to keep a completion possible."""
+        self.trail.append((v, c, self.common[c], self.used))
+        self.members[c] |= 1 << v
+        self.common[c] &= self.adj[v]
+        self.cls[v] = c
+        if c == self.used:
+            self.used += 1
 
-    def backtrack(pos: int, used: int) -> bool:
-        if pos == m:
-            return used == k
-        if used + (m - pos) < k:
-            return False
-        v = rest[pos]
-        for c in range(min(used + 1, k)):
-            if members[c] & adj[v]:
-                continue
-            ok, undo = place(v, c)
-            if ok and backtrack(pos + 1, max(used, c + 1)):
-                return True
-            unplace(v, c, undo)
-        return False
+    def pop(self) -> None:
+        v, c, old, used = self.trail.pop()
+        self.members[c] ^= 1 << v
+        self.common[c] = old
+        self.used = used
 
-    return tuple(cls) if backtrack(0, max(prefix, default=-1) + 1) else None
+    def complete(self, rest: tuple[int, ...], lo: int, hi: int) -> tuple[int, ...] | None:
+        """The first coloring with exactly k classes that keeps the placed
+        vertices and places `rest` (every unplaced vertex) in that order, with
+        rest[0] in a class of [lo, hi); None if there is none.
+
+        The result is the class-per-vertex assignment, new classes numbered
+        by first use along `rest`. The search runs on an explicit stack over
+        this state and unwinds it to where it started before returning.
+        """
+        adj = self.adj
+        members = self.members
+        common = self.common
+        cls = self.cls
+        trail = self.trail
+        k = self.k
+        full = self.full
+        dominator = self.mode == _MODE_DOMINATOR
+        dominated = self.mode == _MODE_DOMINATED
+        used = self.used
+        mark = len(trail)
+        m = len(rest)
+        tries = [0] * (m + 1)  # tries[pos]: the next class for rest[pos]
+        tries[0] = lo
+        pos = 0
+        result = None
+        while True:
+            if used + m - pos >= k:
+                if pos == m:
+                    result = tuple(cls)
+                    break
+                v = rest[pos]
+                a = adj[v]
+                c = tries[pos]
+                limit = hi if pos == 0 else used + 1 if used < k else k
+                while c < limit:
+                    if not members[c] & a:
+                        old = common[c]
+                        if dominated:
+                            if old & a:
+                                break
+                        elif dominator and used + (c == used) == k:
+                            # fail when a vertex lies outside every common
+                            # and is not alone in its class
+                            mc = members[c]
+                            members[c] = mc | 1 << v
+                            common[c] = old & a
+                            cover = 0
+                            for x in common:
+                                cover |= x
+                            bad = full & ~cover
+                            while bad:
+                                low = bad & -bad
+                                if low not in members:
+                                    break
+                                bad ^= low
+                            members[c] = mc
+                            common[c] = old
+                            if not bad:
+                                break
+                        else:
+                            break
+                    c += 1
+                else:
+                    c = -1
+                if c >= 0:
+                    trail.append((v, c, old, used))
+                    members[c] |= 1 << v
+                    common[c] = old & a
+                    cls[v] = c
+                    if c == used:
+                        used += 1
+                    tries[pos] = c + 1
+                    pos += 1
+                    tries[pos] = 0
+                    continue
+            if pos == 0:
+                break
+            pos -= 1
+            v, c, old, used = trail.pop()
+            members[c] ^= 1 << v
+            common[c] = old
+        while len(trail) > mark:
+            v, c, old, _ = trail.pop()
+            members[c] ^= 1 << v
+            common[c] = old
+        return result
 
 
 def _renumbered(assignment: tuple[int, ...]) -> tuple[int, ...]:
@@ -464,39 +528,45 @@ def _renumbered(assignment: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _lex_colorings(
-    g: Graph, k: int, mode: int, order: tuple[int, ...], first: tuple[int, ...]
+    state: _ColoringState, order: tuple[int, ...], first: tuple[int, ...]
 ) -> Iterator[Coloring]:
     """Every coloring with exactly k classes, in lexicographic order of
-    assignment sequences; `first` is any one of them, in any numbering.
+    assignment sequences; `first` is any one of them, in any numbering, and
+    `state` is empty.
 
-    Depth-first over prefixes: vertex v tries each class no earlier neighbour
-    holds, entering the branch when `_solve_coloring` completes the prefix.
-    The completion in hand serves its own branch without a call.
+    Depth-first over prefixes in identity order, on `state` and an explicit
+    stack: the prefix 0..v-1 stays placed, and comps[v] is a completion of
+    it. Vertex v takes comps[v][v] with no search; for the classes below or
+    above that one, the oracle finds the least class that completes.
     """
-    n = g.n
-    prefix: list[int] = []
-
-    def extend(v: int, completion: tuple[int, ...], used: int) -> Iterator[Coloring]:
+    n = len(state.cls)
+    comps: list[tuple[int, ...]] = [_renumbered(first)] * (n + 1)
+    tries = [0] * (n + 1)  # tries[v]: the least class v may take next
+    v = 0
+    while True:
         if v == n:
-            yield Coloring.from_classes(
-                [u for u, c in enumerate(prefix) if c == i] for i in range(k)
-            )
-            return
-        taken = {prefix[u] for u in iter_bits(g.adj[v] & ((1 << v) - 1))}
-        for c in range(min(used + 1, k)):
-            if c in taken:
+            yield Coloring.from_masks(state.members)
+        else:
+            comp: tuple[int, ...] | None = comps[v]
+            lo = tries[v]
+            if lo != comp[v]:
+                hi = comp[v] if lo < comp[v] else min(state.used + 1, state.k)
+                found = state.complete((v, *(u for u in order if u > v)), lo, hi)
+                if found is not None:
+                    comp = _renumbered(found)
+                elif lo > comp[v]:
+                    comp = None
+            if comp is not None:
+                state.push(v, comp[v])
+                comps[v + 1] = comp
+                tries[v] = comp[v] + 1
+                v += 1
+                tries[v] = 0
                 continue
-            found = completion
-            if c != completion[v]:
-                found = _solve_coloring(g, k, mode, order, tuple(prefix) + (c,))
-                if found is None:
-                    continue
-                found = _renumbered(found)
-            prefix.append(c)
-            yield from extend(v + 1, found, max(used, c + 1))
-            prefix.pop()
-
-    yield from extend(0, _renumbered(first), 0)
+        if v == 0:
+            return
+        v -= 1
+        state.pop()
 
 
 def _proper_stage(g: Graph) -> tuple[tuple[int, ...], int, Iterator[Coloring]]:
@@ -517,9 +587,12 @@ def _optimal_colorings(
 ) -> tuple[int, Iterator[Coloring]]:
     """Least k' >= k with a coloring of the mode, and a lazy iterator over all
     such colorings in lexicographic order, the lex-least witness first."""
-    while (first := _solve_coloring(g, k, mode, order)) is None:
+    while True:
+        state = _ColoringState(g, k, mode)
+        first = state.complete(order, 0, 1)
+        if first is not None:
+            return k, _lex_colorings(state, order, first)
         k += 1
-    return k, _lex_colorings(g, k, mode, order, first)
 
 
 def _require_connected(g: Graph, what: str) -> None:
@@ -574,30 +647,31 @@ def enumerate_optimal_dominator_colorings(g: Graph, k: int) -> Iterator[Coloring
 # Classification
 
 
-def _stages(g: Graph) -> Iterator[tuple[str, int | None, Callable[[], object] | None]]:
-    """The invariants in their fixed order, each as (name, value, witness thunk).
+def _stages(g: Graph) -> Iterator[tuple[str, int | None, Iterator[object] | None]]:
+    """The invariants in their fixed order, each as (name, value, witnesses).
 
-    A stage's search runs when the consumer advances to it; its witness is
-    computed when the thunk is called (once). The D(k) verdict follows chi_d
-    as ("dk", k or None, None). chi_dom and gamma_t are None, with no thunk,
-    when some vertex is isolated (K1 included): then no dominated coloring
-    and no total dominating set exist.
+    A stage's search runs when the consumer advances to it. Its witnesses
+    are a lazy iterator over the optimal witnesses in lexicographic order
+    (for the domination stages, the least one only), so the first item is
+    the stage's witness. The D(k) verdict follows chi_d as ("dk", k or None,
+    None). chi_dom and gamma_t are None, with no witnesses, when some vertex
+    is isolated (K1 included): then no dominated coloring and no total
+    dominating set exist.
     """
     if g.n == 0:
         raise GraphError("the invariants are undefined for the empty graph")
-    gamma, witness = _cover(g.n, tuple(row | 1 << v for v, row in enumerate(g.adj)), "plain")
-    yield "gamma", gamma, witness
+    gamma, witnesses = _cover(g.n, tuple(row | 1 << v for v, row in enumerate(g.adj)), "plain")
+    yield "gamma", gamma, witnesses
     order, chi, colorings = _proper_stage(g)
-    yield "chi", chi, colorings.__next__
+    yield "chi", chi, colorings
     chi_d, colorings = _optimal_colorings(g, _MODE_DOMINATOR, order, chi)
-    yield "chi_d", chi_d, colorings.__next__
+    yield "chi_d", chi_d, colorings
     yield "dk", gamma if gamma == chi == chi_d else None, None
     if not all(g.adj):
         yield "chi_dom", None, None
         yield "gamma_t", None, None
         return
-    chi_dom, colorings = _optimal_colorings(g, _MODE_DOMINATED, order, chi)
-    yield "chi_dom", chi_dom, colorings.__next__
+    yield "chi_dom", *_optimal_colorings(g, _MODE_DOMINATED, order, chi)
     yield "gamma_t", *_cover(g.n, g.adj, "total")
 
 
@@ -615,15 +689,24 @@ def invariant_values(g: Graph, early_exit_k: int | None = None) -> dict[str, int
     return values
 
 
-def compute_report(g: Graph) -> InvariantReport:
-    """Full report with witnesses; requires a connected graph."""
+def _report(g: Graph) -> tuple[InvariantReport, Iterator[Coloring]]:
+    """The full report, and every optimal dominator coloring in lexicographic
+    order: the chi_d stage's iterator, its first item (the witness) in front."""
     _require_connected(g, "an invariant report")
     fields: dict[str, object] = {}
-    for name, value, witness in _stages(g):
+    for name, value, witnesses in _stages(g):
         fields[name] = value
-        if name != "dk":
-            fields[f"{name}_witness"] = witness() if witness else None
+        if name == "dk":
+            continue
+        fields[f"{name}_witness"] = next(witnesses) if witnesses else None
+        if name == "chi_d":
+            dominator_colorings = chain((fields["chi_d_witness"],), witnesses)
     assert fields["gamma_t"] is None or fields["gamma"] <= fields["gamma_t"]
     assert fields["chi"] <= fields["chi_d"]
     assert fields["chi_dom"] is None or fields["chi"] <= fields["chi_dom"]
-    return InvariantReport(n=g.n, edge_count=g.edge_count(), **fields)
+    return InvariantReport(n=g.n, edge_count=g.edge_count(), **fields), dominator_colorings
+
+
+def compute_report(g: Graph) -> InvariantReport:
+    """Full report with witnesses; requires a connected graph."""
+    return _report(g)[0]

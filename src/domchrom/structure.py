@@ -22,13 +22,7 @@ from .constructions import (
     validate_blueprint,
 )
 from .graphs import Graph, GraphError, bipartition, is_connected, iter_bits
-from .invariants import (
-    Coloring,
-    InvariantReport,
-    compute_report,
-    enumerate_optimal_dominator_colorings,
-    is_proper_coloring,
-)
+from .invariants import Coloring, InvariantReport, _report, is_proper_coloring
 
 
 class DeadlineExceeded(RuntimeError):
@@ -98,9 +92,10 @@ def check_theorem1(g: Graph) -> Theorem1Report:
 
     Class domination and the per-vertex tally both follow the own-singleton
     convention; the raw (cross, own-singleton) counts are recorded per
-    coloring so the stricter reading can be audited.
+    coloring so the stricter reading can be audited. The colorings continue
+    the report's own chi_d search, so chi and chi_d are computed once.
     """
-    report = compute_report(g)
+    report, colorings = _report(g)
     if report.dk is None:
         raise GraphError(
             "not a D(k) graph: "
@@ -110,7 +105,7 @@ def check_theorem1(g: Graph) -> Theorem1Report:
     counterexamples: list[tuple[int, str, int]] = []
     all_counts: list[tuple[tuple[int, int], ...]] = []
     checked = 0
-    for index, coloring in enumerate(enumerate_optimal_dominator_colorings(g, k)):
+    for index, coloring in enumerate(colorings):
         checked += 1
         masks = coloring.masks()
         assignment = coloring.assignment(g.n)

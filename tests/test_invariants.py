@@ -22,6 +22,7 @@ from domchrom.invariants import (
     is_dominator_coloring,
     is_proper_coloring,
     is_total_dominating_set,
+    max_clique,
     total_domination_number,
 )
 
@@ -337,3 +338,36 @@ def test_coloring_canonical_order_and_assignment():
         Coloring.from_classes([[0], []])
     with pytest.raises(GraphError):
         col.assignment(3)
+
+
+def test_chromatic_number_of_long_path_needs_no_recursion():
+    path = from_edge_list(2000, [(v, v + 1) for v in range(1999)])
+    chi, witness = chromatic_number(path)
+    assert chi == 2
+    assert witness == Coloring.from_classes([range(0, 2000, 2), range(1, 2000, 2)])
+
+
+def test_max_clique_of_k1100_needs_no_recursion():
+    n = 1100
+    k = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    assert max_clique(k) == (n, (1 << n) - 1)
+
+
+def test_check_theorem1_runs_the_proper_stage_once(monkeypatch):
+    from domchrom import invariants
+    from domchrom.structure import check_theorem1
+
+    calls = []
+    proper_stage = invariants._proper_stage
+
+    def counted(g):
+        calls.append(g)
+        return proper_stage(g)
+
+    monkeypatch.setattr(invariants, "_proper_stage", counted)
+    g, _ = build_d_odd(DOddSpec(3, 9))
+    result = check_theorem1(g)
+    assert len(calls) == 1
+    assert result.colorings_checked == len(
+        list(enumerate_optimal_dominator_colorings(g, result.report.chi_d))
+    )
