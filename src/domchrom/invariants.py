@@ -246,14 +246,17 @@ def _min_cover_size(n: int, covers: tuple[int, ...]) -> int:
         return 0
     best = _greedy_cover_size(n, covers)
 
-    def search(count: int, covered: int) -> None:
-        nonlocal best
+    # depth-first on an explicit stack; children are pushed in reverse, so
+    # each is entered, against the best size so far, in candidate order
+    stack = [(0, 0)]
+    while stack:
+        count, covered = stack.pop()
         if covered == full:
             if count < best:
                 best = count
-            return
+            continue
         if count + 1 >= best:
-            return
+            continue
         uncovered = full & ~covered
         max_gain = 0
         for v in range(n):
@@ -262,7 +265,7 @@ def _min_cover_size(n: int, covers: tuple[int, ...]) -> int:
                 max_gain = gain
         need = (uncovered.bit_count() + max_gain - 1) // max_gain
         if count + need >= best:
-            return
+            continue
         # branch on the undominated vertex with fewest coverers
         branch_u = -1
         branch_size = n + 1
@@ -275,10 +278,7 @@ def _min_cover_size(n: int, covers: tuple[int, ...]) -> int:
             iter_bits(covers[branch_u]),
             key=lambda w: (-(covers[w] & uncovered).bit_count(), w),
         )
-        for w in candidates:
-            search(count + 1, covered | covers[w])
-
-    search(0, 0)
+        stack.extend((count + 1, covered | covers[w]) for w in reversed(candidates))
     return best
 
 
@@ -291,10 +291,7 @@ def _lex_min_cover(n: int, covers: tuple[int, ...], size: int) -> tuple[int, ...
             if covers[v] >> u & 1:
                 latest_cover[u] = v
 
-    def dfs(start: int, chosen: list[int], covered: int) -> tuple[int, ...] | None:
-        if len(chosen) == size:
-            return tuple(chosen) if covered == full else None
-        remaining = size - len(chosen)
+    def feasible(start: int, covered: int, remaining: int) -> bool:
         uncovered = full & ~covered
         if uncovered:
             max_gain = 0
@@ -303,20 +300,38 @@ def _lex_min_cover(n: int, covers: tuple[int, ...], size: int) -> tuple[int, ...
                 if gain > max_gain:
                     max_gain = gain
             if max_gain * remaining < uncovered.bit_count():
-                return None
+                return False
             for u in iter_bits(uncovered):
                 if latest_cover[u] < start:
-                    return None
-        for v in range(start, n - remaining + 1):
-            result = dfs(v + 1, chosen + [v], covered | covers[v])
-            if result is not None:
-                return result
-        return None
+                    return False
+        return True
 
-    result = dfs(0, [], 0)
-    if result is None:
-        raise AssertionError("no witness at the optimal size; solver bug")
-    return result
+    # depth-first over increasing vertex choices, on explicit stacks
+    chosen: list[int] = []
+    covered = [0]  # covered[i]: the union of covers over chosen[:i]
+    options: list[Iterator[int]] = []  # the untried choices of each open level
+    while True:
+        depth = len(chosen)
+        start = chosen[-1] + 1 if chosen else 0
+        if depth < size and feasible(start, covered[-1], size - depth):
+            options.append(iter(range(start, n - (size - depth) + 1)))
+        elif covered[-1] == full:
+            return tuple(chosen)
+        elif chosen:
+            chosen.pop()
+            covered.pop()
+        while options:
+            v = next(options[-1], None)
+            if v is not None:
+                chosen.append(v)
+                covered.append(covered[-1] | covers[v])
+                break
+            options.pop()
+            if chosen:
+                chosen.pop()
+                covered.pop()
+        else:
+            raise AssertionError("no witness at the optimal size; solver bug")
 
 
 def _cover(

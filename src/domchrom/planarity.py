@@ -8,7 +8,10 @@ from the side assignment; a non-planar verdict carries a Kuratowski
 subdivision found by deleting edges while non-planarity persists (an
 edge-minimal non-planar subgraph is a subdivision of K_5 or K_{3,3}). All
 three phases walk the DFS on explicit stacks, so deep graphs need no
-recursion.
+recursion. The LR code numbers each oriented edge in the order the DFS
+orients it and keeps every per-edge value (endpoints, lowpoints, nesting
+depth, side, ref) in a flat list indexed by that number; a conflict pair is
+a list of four edge numbers, with -1 for none.
 
 Two exact screens spare most LR runs. Both look at the 2-core, what is left
 after repeatedly deleting vertices of degree <= 1; a graph is planar exactly
@@ -59,282 +62,275 @@ class PlanarityVerdict:
 # The LR criterion (orientation, testing, embedding).
 
 
-class _Interval:
-    __slots__ = ("low", "high")
-
-    def __init__(self, low=None, high=None):
-        self.low = low
-        self.high = high
-
-    def empty(self):
-        return self.low is None and self.high is None
-
-
-class _ConflictPair:
-    __slots__ = ("L", "R")
-
-    def __init__(self, left=None, right=None):
-        self.L = left if left is not None else _Interval()
-        self.R = right if right is not None else _Interval()
-
-    def swap(self):
-        self.L, self.R = self.R, self.L
-
-
 class _LRPlanarity:
-    """One run of the LR test; `run` decides, `embed` extracts the rotations."""
+    """One run of the LR test; `run` decides, `embed` extracts the rotations.
+    A conflict pair on the stack `S` is [L.low, L.high, R.low, R.high]; an
+    interval is empty when its low is -1."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.n = g.n
-        self.adj = [list(iter_bits(row)) for row in g.adj]
-        self.height: list[int | None] = [None] * g.n
-        self.parent_edge: list[tuple[int, int] | None] = [None] * g.n
+        self.height = [-1] * g.n  # -1: not reached yet
+        self.parent_edge = [-1] * g.n  # -1: a DFS root
         self.roots: list[int] = []
         self.orient_adjs: list[list[int]] = [[] for _ in range(g.n)]
-        self.lowpt: dict[tuple[int, int], int] = {}
-        self.lowpt2: dict[tuple[int, int], int] = {}
-        self.nesting_depth: dict[tuple[int, int], int] = {}
-        self.ref: dict[tuple[int, int], tuple[int, int] | None] = {}
-        self.side: dict[tuple[int, int], int] = {}
-        self.S: list[_ConflictPair] = []
-        self.stack_bottom: dict[tuple[int, int], int] = {}
-        self.lowpt_edge: dict[tuple[int, int], tuple[int, int]] = {}
-        self.ordered_adjs: list[list[int]] = [[] for _ in range(g.n)]
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.lowpt: list[int] = []
+        self.lowpt2: list[int] = []
+        self.nesting_depth: list[int] = []
+        # sized by _test, once phase 1 has numbered the edges
+        self.ref: list[int] = []
+        self.side: list[int] = []
+        self.lowpt_edge: list[int] = []
+        self.stack_bottom: list[int] = []
+        self.S: list[list[int]] = []
+        self.ordered_adjs: list[list[int]] = []
 
     # -- phase 1: DFS orientation ------------------------------------------
 
     def _orient(self) -> None:
-        oriented = [0] * self.n  # bit w of row v: edge vw already oriented
+        adj = [list(iter_bits(row)) for row in self.g.adj]
+        height, parent_edge, orient_adjs = self.height, self.parent_edge, self.orient_adjs
+        src, dst, lowpt, lowpt2 = self.src, self.dst, self.lowpt, self.lowpt2
         for root in range(self.n):
-            if self.height[root] is not None:
+            if height[root] != -1:
                 continue
-            self.height[root] = 0
+            height[root] = 0
             self.roots.append(root)
-            stack = [(root, iter(self.adj[root]))]
+            stack = [(root, iter(adj[root]))]
             while stack:
                 v, it = stack[-1]
-                advanced = False
+                hv = height[v]
                 for w in it:
-                    if oriented[v] >> w & 1:
+                    hw = height[w]
+                    # a reached w at height >= hv - 1 is v's parent or a
+                    # finished descendant, whose edge to v is oriented already
+                    if hw != -1 and hw >= hv - 1:
                         continue
-                    oriented[v] |= 1 << w
-                    oriented[w] |= 1 << v
-                    vw = (v, w)
-                    self.orient_adjs[v].append(w)
-                    self.lowpt[vw] = self.height[v]
-                    self.lowpt2[vw] = self.height[v]
-                    if self.height[w] is None:  # tree edge
-                        self.parent_edge[w] = vw
-                        self.height[w] = self.height[v] + 1
-                        stack.append((w, iter(self.adj[w])))
-                        advanced = True
+                    e = len(src)
+                    src.append(v)
+                    dst.append(w)
+                    orient_adjs[v].append(e)
+                    lowpt2.append(hv)
+                    self.nesting_depth.append(0)
+                    if hw == -1:  # tree edge
+                        lowpt.append(hv)
+                        parent_edge[w] = e
+                        height[w] = hv + 1
+                        stack.append((w, iter(adj[w])))
                         break
-                    self.lowpt[vw] = self.height[w]  # back edge
-                    self._finish_edge(vw)
-                if not advanced:
+                    lowpt.append(hw)  # back edge
+                    self._finish_edge(e)
+                else:
                     stack.pop()
-                    e = self.parent_edge[v]
-                    if e is not None:
-                        self._finish_edge(e)
+                    if parent_edge[v] != -1:
+                        self._finish_edge(parent_edge[v])
 
-    def _finish_edge(self, vw: tuple[int, int]) -> None:
-        v = vw[0]
-        self.nesting_depth[vw] = 2 * self.lowpt[vw]
-        if self.lowpt2[vw] < self.height[v]:
-            self.nesting_depth[vw] += 1  # chordal
-        e = self.parent_edge[v]
-        if e is not None:
-            if self.lowpt[vw] < self.lowpt[e]:
-                self.lowpt2[e] = min(self.lowpt[e], self.lowpt2[vw])
-                self.lowpt[e] = self.lowpt[vw]
-            elif self.lowpt[vw] > self.lowpt[e]:
-                self.lowpt2[e] = min(self.lowpt2[e], self.lowpt[vw])
+    def _finish_edge(self, e: int) -> None:
+        lowpt, lowpt2 = self.lowpt, self.lowpt2
+        v = self.src[e]
+        low = lowpt[e]
+        self.nesting_depth[e] = 2 * low + (lowpt2[e] < self.height[v])  # +1: chordal
+        p = self.parent_edge[v]
+        if p != -1:
+            if low < lowpt[p]:
+                lowpt2[p] = min(lowpt[p], lowpt2[e])
+                lowpt[p] = low
+            elif low > lowpt[p]:
+                lowpt2[p] = min(lowpt2[p], low)
             else:
-                self.lowpt2[e] = min(self.lowpt2[e], self.lowpt2[vw])
+                lowpt2[p] = min(lowpt2[p], lowpt2[e])
 
     # -- phase 2: testing -----------------------------------------------------
 
-    def _conflicting(self, interval: _Interval, b: tuple[int, int]) -> bool:
-        return not interval.empty() and self.lowpt[interval.high] > self.lowpt[b]
-
-    def _lowest(self, pair: _ConflictPair) -> int:
-        if pair.L.empty():
-            return self.lowpt[pair.R.low]
-        if pair.R.empty():
-            return self.lowpt[pair.L.low]
-        return min(self.lowpt[pair.L.low], self.lowpt[pair.R.low])
-
     def _test(self) -> bool:
-        for v in range(self.n):
-            self.ordered_adjs[v] = sorted(
-                self.orient_adjs[v], key=lambda w: self.nesting_depth[(v, w)]
-            )
-        for e in self.lowpt:
-            self.side[e] = 1
-            self.ref[e] = None
-        for root in self.roots:
-            if not self._test_dfs(root):
-                return False
-        return True
+        m = len(self.src)
+        # a stable sort: edge ids follow orientation order, which breaks ties
+        self.ordered_adjs = [
+            sorted(edges, key=self.nesting_depth.__getitem__) for edges in self.orient_adjs
+        ]
+        self.side = [1] * m
+        self.ref = [-1] * m
+        self.lowpt_edge = [-1] * m
+        self.stack_bottom = [0] * m
+        return all(self._test_dfs(root) for root in self.roots)
 
     def _test_dfs(self, root: int) -> bool:
+        dst, lowpt, height, parent_edge = self.dst, self.lowpt, self.height, self.parent_edge
+        lowpt_edge, S = self.lowpt_edge, self.S
         # explicit stack of (vertex, edge index, whether that tree edge's
         # subtree is finished), so deep graphs do not hit the recursion limit
         stack = [(root, 0, False)]
         while stack:
             v, idx, child_done = stack.pop()
-            e = self.parent_edge[v]
+            e = parent_edge[v]
             adjs = self.ordered_adjs[v]
             while idx < len(adjs):
-                w = adjs[idx]
-                ei = (v, w)
+                ei = adjs[idx]
                 if not child_done:
-                    self.stack_bottom[ei] = len(self.S)
-                    if ei == self.parent_edge[w]:  # tree edge: finish w first
+                    self.stack_bottom[ei] = len(S)
+                    w = dst[ei]
+                    if ei == parent_edge[w]:  # tree edge: finish w first
                         stack.append((v, idx, True))
                         stack.append((w, 0, False))
                         break
-                    self.lowpt_edge[ei] = ei  # back edge
-                    self.S.append(_ConflictPair(right=_Interval(ei, ei)))
+                    lowpt_edge[ei] = ei  # back edge
+                    S.append([-1, -1, ei, ei])
                 child_done = False
-                if self.lowpt[ei] < self.height[v]:  # ei has a return edge
+                if lowpt[ei] < height[v]:  # ei has a return edge
                     if idx == 0:
-                        if e is not None:
-                            self.lowpt_edge[e] = self.lowpt_edge[ei]
+                        if e != -1:
+                            lowpt_edge[e] = lowpt_edge[ei]
                     elif not self._add_constraints(ei, e):
                         return False
                 idx += 1
             else:
-                if e is not None:
+                if e != -1:
                     self._trim_back_edges(e)
         return True
 
-    def _add_constraints(self, ei: tuple[int, int], e: tuple[int, int]) -> bool:
-        P = _ConflictPair()
+    def _add_constraints(self, ei: int, e: int) -> bool:
+        S, lowpt, ref = self.S, self.lowpt, self.ref
+        pl_low = pl_high = pr_low = pr_high = -1
         # merge return edges of ei into P.R
+        low_e = lowpt[e]
+        bottom = self.stack_bottom[ei]
         while True:
-            Q = self.S.pop()
-            if not Q.L.empty():
-                Q.swap()
-            if not Q.L.empty():
-                return False  # not planar
-            if self.lowpt[Q.R.low] > self.lowpt[e]:
-                if P.R.empty():
-                    P.R.high = Q.R.high
+            ql_low, ql_high, qr_low, qr_high = S.pop()
+            if ql_low != -1:  # swap Q, unless both sides are non-empty
+                if qr_low != -1:
+                    return False  # not planar
+                qr_low, qr_high = ql_low, ql_high
+            if lowpt[qr_low] > low_e:
+                if pr_low == -1:
+                    pr_high = qr_high
                 else:
-                    self.ref[P.R.low] = Q.R.high
-                P.R.low = Q.R.low
+                    ref[pr_low] = qr_high
+                pr_low = qr_low
             else:  # align
-                self.ref[Q.R.low] = self.lowpt_edge[e]
-            if len(self.S) == self.stack_bottom[ei]:
+                ref[qr_low] = self.lowpt_edge[e]
+            if len(S) == bottom:
                 break
-        # merge conflicting return edges of earlier siblings into P.L
-        while self.S and (
-            self._conflicting(self.S[-1].L, ei) or self._conflicting(self.S[-1].R, ei)
-        ):
-            Q = self.S.pop()
-            if self._conflicting(Q.R, ei):
-                Q.swap()
-            if self._conflicting(Q.R, ei):
-                return False  # not planar
-            if P.R.low is not None:
-                self.ref[P.R.low] = Q.R.high
-            if Q.R.low is not None:
-                P.R.low = Q.R.low
-            if P.L.empty():
-                P.L.high = Q.L.high
+        # merge conflicting return edges of earlier siblings into P.L; an
+        # interval conflicts with ei when its high returns above ei's lowpt
+        low_ei = lowpt[ei]
+        while S:
+            top = S[-1]
+            if not (
+                top[1] != -1 and lowpt[top[1]] > low_ei
+                or top[3] != -1 and lowpt[top[3]] > low_ei
+            ):
+                break
+            ql_low, ql_high, qr_low, qr_high = S.pop()
+            if qr_high != -1 and lowpt[qr_high] > low_ei:
+                ql_low, ql_high, qr_low, qr_high = qr_low, qr_high, ql_low, ql_high
+                if qr_high != -1 and lowpt[qr_high] > low_ei:
+                    return False  # not planar
+            if pr_low != -1:
+                ref[pr_low] = qr_high
+            if qr_low != -1:
+                pr_low = qr_low
+            if pl_low == -1:
+                pl_high = ql_high
             else:
-                self.ref[P.L.low] = Q.L.high
-            P.L.low = Q.L.low
-        if not (P.L.empty() and P.R.empty()):
-            self.S.append(P)
+                ref[pl_low] = ql_high
+            pl_low = ql_low
+        if pl_low != -1 or pr_low != -1:
+            S.append([pl_low, pl_high, pr_low, pr_high])
         return True
 
-    def _trim_back_edges(self, e: tuple[int, int]) -> None:
-        u = e[0]
+    def _trim_back_edges(self, e: int) -> None:
+        S, lowpt, ref, side, dst = self.S, self.lowpt, self.ref, self.side, self.dst
+        u = self.src[e]
+        hu = self.height[u]
         # drop entire conflict pairs that return to the parent u
-        while self.S and self._lowest(self.S[-1]) == self.height[u]:
-            P = self.S.pop()
-            if P.L.low is not None:
-                self.side[P.L.low] = -1
-        if self.S:
-            P = self.S.pop()
-            while P.L.high is not None and P.L.high[1] == u:
-                P.L.high = self.ref[P.L.high]
-            if P.L.high is None and P.L.low is not None:
-                self.ref[P.L.low] = P.R.low
-                self.side[P.L.low] = -1
-                P.L.low = None
-            while P.R.high is not None and P.R.high[1] == u:
-                P.R.high = self.ref[P.R.high]
-            if P.R.high is None and P.R.low is not None:
-                self.ref[P.R.low] = P.L.low
-                self.side[P.R.low] = -1
-                P.R.low = None
-            self.S.append(P)
-        # side of e is the side of a highest return edge
-        if self.lowpt[e] < self.height[u]:
-            hl = self.S[-1].L.high
-            hr = self.S[-1].R.high
-            if hl is not None and (hr is None or self.lowpt[hl] > self.lowpt[hr]):
-                self.ref[e] = hl
+        while S:
+            l_low, _, r_low, _ = S[-1]
+            if l_low == -1:
+                lowest = lowpt[r_low]
+            elif r_low == -1:
+                lowest = lowpt[l_low]
             else:
-                self.ref[e] = hr
+                lowest = min(lowpt[l_low], lowpt[r_low])
+            if lowest != hu:
+                break
+            S.pop()
+            if l_low != -1:
+                side[l_low] = -1
+        if S:
+            P = S[-1]
+            high = P[1]
+            while high != -1 and dst[high] == u:
+                high = ref[high]
+            P[1] = high
+            if high == -1 and P[0] != -1:
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = -1
+            high = P[3]
+            while high != -1 and dst[high] == u:
+                high = ref[high]
+            P[3] = high
+            if high == -1 and P[2] != -1:
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = -1
+        # side of e is the side of a highest return edge
+        if lowpt[e] < hu:
+            _, hl, _, hr = S[-1]
+            if hl != -1 and (hr == -1 or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
+            else:
+                ref[e] = hr
 
     # -- phase 3: embedding ----------------------------------------------------
 
-    def _sign(self, e: tuple[int, int]) -> int:
+    def _sign(self, e: int) -> int:
         # iterative resolution of the ref chain
+        ref, side = self.ref, self.side
         chain = []
-        while self.ref.get(e) is not None:
+        while ref[e] != -1:
             chain.append(e)
-            e = self.ref[e]
-        result = self.side[e]
+            e = ref[e]
+        result = side[e]
         for prev in reversed(chain):
-            self.side[prev] *= result
-            self.ref[prev] = None
-            result = self.side[prev]
+            side[prev] *= result
+            ref[prev] = -1
+            result = side[prev]
         return result
 
     def embed(self) -> tuple[tuple[int, ...], ...]:
-        for e in list(self.nesting_depth):
-            self.nesting_depth[e] *= self._sign(e)
-        rotation: list[list[int]] = [[] for _ in range(self.n)]
-        for v in range(self.n):
-            self.ordered_adjs[v] = sorted(
-                self.orient_adjs[v], key=lambda w: self.nesting_depth[(v, w)]
-            )
-            rotation[v] = list(self.ordered_adjs[v])
-        left_ref: list[int | None] = [None] * self.n
-        right_ref: list[int | None] = [None] * self.n
+        dst, side, parent_edge = self.dst, self.side, self.parent_edge
+        depth = self.nesting_depth
+        for e in range(len(depth)):
+            depth[e] *= self._sign(e)
+        self.ordered_adjs = [sorted(edges, key=depth.__getitem__) for edges in self.orient_adjs]
+        rotation = [[dst[e] for e in edges] for edges in self.ordered_adjs]
+        left_ref = [-1] * self.n
+        right_ref = [-1] * self.n
         for root in self.roots:
             stack = [(root, 0)]
             while stack:
                 v, idx = stack.pop()
-                advanced = False
-                while idx < len(self.ordered_adjs[v]):
-                    w = self.ordered_adjs[v][idx]
+                adjs = self.ordered_adjs[v]
+                while idx < len(adjs):
+                    ei = adjs[idx]
                     idx += 1
-                    ei = (v, w)
-                    if ei == self.parent_edge[w]:  # tree edge
+                    w = dst[ei]
+                    if ei == parent_edge[w]:  # tree edge
                         rotation[w].insert(0, v)
                         left_ref[v] = w
                         right_ref[v] = w
                         stack.append((v, idx))
                         stack.append((w, 0))
-                        advanced = True
                         break
                     # back edge: insert v next to the reference in w's rotation
-                    if self.side[ei] == 1:
-                        pos = rotation[w].index(right_ref[w])
-                        rotation[w].insert(pos + 1, v)
+                    if side[ei] == 1:
+                        rotation[w].insert(rotation[w].index(right_ref[w]) + 1, v)
                     else:
-                        pos = rotation[w].index(left_ref[w])
-                        rotation[w].insert(pos, v)
+                        rotation[w].insert(rotation[w].index(left_ref[w]), v)
                         left_ref[w] = v
-                if not advanced:
-                    continue
         return tuple(tuple(r) for r in rotation)
 
     def run(self) -> bool:

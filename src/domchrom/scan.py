@@ -35,6 +35,12 @@ CONJECTURE_READING = (
 )
 
 
+# Lines sent to a pool worker per task. The parent pays CPU per task, which
+# on a machine with as many CPUs as workers it takes from them: an order-8
+# scan at --jobs 2 on 2 CPUs spent 0.6-0.7 s of parent CPU at 8, 0.34 s at 64.
+_POOL_BATCH = 64
+
+
 class ScanError(GraphError):
     pass
 
@@ -204,7 +210,7 @@ def _iter_results(payloads, jobs: int):
             yield _evaluate(item)
     else:
         with multiprocessing.Pool(processes=workers) as pool:
-            yield from pool.imap(_evaluate, payloads, chunksize=8)
+            yield from pool.imap(_evaluate, payloads, chunksize=_POOL_BATCH)
 
 
 # ---------------------------------------------------------------------------

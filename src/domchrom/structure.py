@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from .constructions import (
     OPPOSITE,
@@ -159,18 +160,31 @@ def find_total_dominating_transversal(
     for i in range(len(classes) - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | class_cover[i]
 
-    def dfs(i: int, picked: list[int], covered: int):
-        if covered | suffix_cover[i] != full:
+    # depth-first over the classes in order, on explicit stacks
+    picked: list[int] = []
+    covered = [0]  # covered[i]: the union of neighbourhoods over picked[:i]
+    options: list[Iterator[int]] = []  # the untried members of each open class
+    while True:
+        i = len(picked)
+        if covered[-1] | suffix_cover[i] == full:
+            if i == len(classes):
+                return tuple(picked)
+            options.append(iter(classes[i]))
+        elif picked:
+            picked.pop()
+            covered.pop()
+        while options:
+            v = next(options[-1], None)
+            if v is not None:
+                picked.append(v)
+                covered.append(covered[-1] | g.adj[v])
+                break
+            options.pop()
+            if picked:
+                picked.pop()
+                covered.pop()
+        else:
             return None
-        if i == len(classes):
-            return tuple(picked)
-        for v in classes[i]:
-            result = dfs(i + 1, picked + [v], covered | g.adj[v])
-            if result is not None:
-                return result
-        return None
-
-    return dfs(0, [], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from domchrom.graphs import GraphError, complete_bipartite, from_edge_list, is_c
 from domchrom.invariants import (
     Coloring,
     DisconnectedError,
+    DominatingWitness,
     UndefinedInvariantError,
     chromatic_number,
     compute_report,
@@ -351,6 +352,19 @@ def test_max_clique_of_k1100_needs_no_recursion():
     n = 1100
     k = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     assert max_clique(k) == (n, (1 << n) - 1)
+
+
+def test_domination_number_of_edgeless_1100_needs_no_recursion():
+    n = 1100
+    assert domination_number(from_edge_list(n, [])) == (
+        n, DominatingWitness(frozenset(range(n)), "plain")
+    )
+
+
+def test_total_domination_number_of_1100_disjoint_k2_needs_no_recursion():
+    n = 2200
+    g = from_edge_list(n, [(v, v + 1) for v in range(0, n, 2)])
+    assert total_domination_number(g) == (n, DominatingWitness(frozenset(range(n)), "total"))
 
 
 def test_check_theorem1_runs_the_proper_stage_once(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -95,6 +96,36 @@ def test_random_graphs_vs_networkx():
         G.add_nodes_from(range(n))
         G.add_edges_from(edges)
         assert lr_is_planar(g) == nx.check_planarity(G)[0]
+
+
+def test_lr_matches_networkx_on_1000_graphs_of_order_10_to_14():
+    rng = random.Random(9)
+    verdicts = set()
+    for _ in range(1000):
+        n = rng.randint(10, 14)
+        p = rng.uniform(0.1, 0.5)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = from_edge_list(n, edges)
+        verdict = lr_is_planar(g)
+        assert verdict == networkx_planar(g)
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+def test_embeddings_through_n7_are_pinned():
+    # sha256 of the rotation systems of all 775 planar connected graphs with
+    # n <= 7, in enumeration order: a change to the LR code must not move them
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            if lr_is_planar(g):
+                digest.update(repr(planar_embedding(g)).encode() + b"\n")
+                count += 1
+    assert count == 775
+    assert digest.hexdigest() == (
+        "d4256049301cdad279119b0819a06cf44ad4d305ff51741d27ec1cffb53a44df"
+    )
 
 
 def test_disconnected_graphs():

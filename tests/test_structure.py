@@ -131,6 +131,13 @@ def test_bridged_triangles_always_have_transversal():
     assert found_any
 
 
+def test_transversal_of_k1100_needs_no_recursion():
+    n = 1100
+    k = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    coloring = Coloring.from_classes([[v] for v in range(n)])
+    assert find_total_dominating_transversal(k, coloring) == tuple(range(n))
+
+
 def test_transversal_requires_proper_coloring():
     with pytest.raises(GraphError, match="proper"):
         find_total_dominating_transversal(
