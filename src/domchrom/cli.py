@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from . import constructions, scan as scanmod
+from .enumeration import enumerate_connected
 from .graph6 import parse_graph6, to_graph6
 from .graphs import Graph, GraphError, VertexLabeling, complete_bipartite, to_dot
 from .invariants import Coloring, compute_report, enumerate_optimal_dominator_colorings
@@ -208,19 +209,22 @@ def _cmd_scan(args) -> int:
     if jobs is None:
         jobs = _env_number("DOMCHROM_JOBS", int, 1)
     if args.builtin is not None:
-        from .enumeration import enumerate_connected
-
         lines = [to_graph6(g) for g in enumerate_connected(args.builtin)]
         source_id = scanmod.source_id_for_builtin(args.builtin)
-    elif args.source == "-":
-        lines = [line for line in sys.stdin]
-        source_id = scanmod.source_id_for_stdin(lines)
     else:
-        path = Path(args.source)
-        if not path.exists():
-            raise GraphError(f"source file not found: {path}")
-        lines = path.read_text(encoding="utf-8").splitlines()
-        source_id = scanmod.source_id_for_file(path)
+        # stdin is bound to the digest of its lines, a file to its bytes
+        try:
+            if args.source == "-":
+                lines = list(sys.stdin)
+                data = "".join(lines).encode("utf-8")
+            else:
+                data = Path(args.source).read_bytes()
+                lines = data.decode("utf-8").splitlines()
+        except OSError as exc:
+            raise GraphError(f"cannot read source file {args.source}: {exc.strerror}") from None
+        except UnicodeError as exc:
+            raise GraphError(f"source {args.source} is not UTF-8 text: {exc}") from None
+        source_id = scanmod.source_id_for_bytes("stdin" if args.source == "-" else "file", data)
     summary = scanmod.scan_stream(
         lines,
         checks=checks,
@@ -231,16 +235,9 @@ def _cmd_scan(args) -> int:
         strict=args.strict,
         jobs=jobs,
     )
-    _emit(
-        {
-            "source_id": summary.source_id,
-            "checks": list(summary.checks),
-            "total": summary.total,
-            "skipped": summary.skipped,
-            "dk_counts": {str(k): v for k, v in sorted(summary.dk_counts.items())},
-            "dk_min_n": {str(k): v for k, v in sorted(summary.dk_min_n.items())},
-        }
-    )
+    payload = summary.to_state()
+    del payload["dk_first_graph6"]
+    _emit(dict(payload, source_id=summary.source_id, checks=list(summary.checks)))
     return EXIT_OK
 
 

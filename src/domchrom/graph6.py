@@ -3,6 +3,11 @@
 Only the undirected graph6 flavor is supported: one graph per ASCII line,
 size prefix N(n) followed by the upper triangle of the adjacency matrix in
 column-major order, packed into 6-bit groups offset by 63.
+
+The decoder reads the whole body as one integer and cuts it into columns;
+a fault is reported with its byte offset (the last byte for nonzero
+padding). The encoder packs bit by bit, which measured faster for small
+graphs than building one integer.
 """
 
 from __future__ import annotations
@@ -14,6 +19,9 @@ from .graphs import Graph, GraphError
 HEADER = ">>graph6<<"
 
 _MAX_N = 258047  # largest order of the 4-byte size encoding; enough here
+
+# Each graph6 character as the binary string of its 6-bit group.
+_SIX_BITS = {o: format(o - 63, "06b") for o in range(63, 127)}
 
 
 class Graph6Error(GraphError):
@@ -52,9 +60,7 @@ def parse_graph6(text: str) -> Graph:
             raise Graph6Error(f"orders above {_MAX_N} are not supported", offset=0)
         if len(data) < 4:
             raise Graph6Error("truncated 4-byte size prefix", offset=len(data))
-        n = 0
-        for i in range(1, 4):
-            n = (n << 6) | (ord(data[i]) - 63)
+        n = int(data[1:4].translate(_SIX_BITS), 2)
         pos = 4
         if n < 63:
             raise Graph6Error("non-canonical long size prefix for n < 63", offset=0)
@@ -68,32 +74,25 @@ def parse_graph6(text: str) -> Graph:
             offset=pos + min(len(body), nbytes),
         )
 
+    # The body as one integer, 6 bits per character, first bit highest. The
+    # pad bits that fill the last character are its low bits and must be 0.
+    bits = int(body.translate(_SIX_BITS), 2) if body else 0
+    pad = 6 * nbytes - nbits
+    if bits & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", offset=pos + nbytes - 1)
+    bits >>= pad
+    # Column v holds rows 0..v-1, row 0 highest; the last column is lowest.
     rows = [0] * n
-    bit_index = 0
-    for byte_i, ch in enumerate(body):
-        group = ord(ch) - 63
-        for k in range(5, -1, -1):
-            bit = group >> k & 1
-            if bit_index >= nbits:
-                if bit:
-                    raise Graph6Error("nonzero padding bits", offset=pos + byte_i)
-                bit_index += 1
-                continue
-            if bit:
-                u, v = _pair_at(bit_index)
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            bit_index += 1
+    for v in range(n - 1, 0, -1):
+        col = bits & ((1 << v) - 1)
+        bits >>= v
+        while col:
+            top = col.bit_length() - 1
+            u = v - 1 - top
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            col ^= 1 << top
     return Graph(n, rows, _checked=True)
-
-
-def _pair_at(bit_index: int) -> tuple[int, int]:
-    # Upper triangle column-major: bits for column v are rows 0..v-1.
-    v = 1
-    while v * (v + 1) // 2 <= bit_index:
-        v += 1
-    u = bit_index - v * (v - 1) // 2
-    return u, v
 
 
 def to_graph6(g: Graph) -> str:
@@ -127,10 +126,7 @@ def iter_graph6_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     """Yield (line_number, payload) for non-blank lines, handling the header."""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line:
-            continue
         if lineno == 1 and line.startswith(HEADER):
             line = line[len(HEADER):].strip()
-            if not line:
-                continue
-        yield lineno, line
+        if line:
+            yield lineno, line

@@ -285,11 +285,8 @@ def _min_cover_size(n: int, covers: tuple[int, ...]) -> int:
 def _lex_min_cover(n: int, covers: tuple[int, ...], size: int) -> tuple[int, ...]:
     """Lexicographically least covering set of exactly the given size."""
     full = (1 << n) - 1
-    latest_cover = [0] * n  # highest-index vertex covering u
-    for u in range(n):
-        for v in range(n):
-            if covers[v] >> u & 1:
-                latest_cover[u] = v
+    # highest-index vertex covering u; covers are symmetric, so covers[u] lists them
+    latest_cover = [row.bit_length() - 1 for row in covers]
 
     def feasible(start: int, covered: int, remaining: int) -> bool:
         uncovered = full & ~covered

@@ -1,12 +1,14 @@
 """Streamed scanning of graph6 input: per-graph checks, JSONL records,
 CSV summaries, resumable checkpoints, and the minimum-order survey.
 
-Records are written in input order even when per-graph checks fan out to a
-process pool, so identical inputs yield byte-identical outputs at any job
-count. Checkpoints are written atomically (write-new-then-rename) and bind
-to the source via an identity string and to the record file via the sha256
-of its checkpointed prefix; resuming checks that prefix, replays the
-aggregates and truncates the record file to the checkpointed byte count.
+`_evaluate` turns each line into a plain tuple of record fields, or the
+reason it is skipped, and the parent writes the records in input order, so
+identical inputs yield byte-identical outputs at any job count. One writer
+saves checkpoints atomically (write-new-then-rename), which bind to the
+source via an identity string and to the record file via the sha256 of its
+checkpointed prefix. Resuming refuses a checkpoint unlike the ones `save`
+writes, checks that prefix, replays the aggregates and truncates the record
+file to the checkpointed byte count.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ import hashlib
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import islice
 from pathlib import Path
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, get_origin, get_type_hints
 
 from .enumeration import MAX_BUILTIN_ORDER, enumerate_connected
 from .graph6 import iter_graph6_lines, parse_graph6, to_graph6
@@ -45,6 +49,10 @@ class ScanError(GraphError):
     pass
 
 
+# The per-k tables of a summary, with the type of their values.
+_DK_TABLES = (("dk_counts", int), ("dk_min_n", int), ("dk_first_graph6", str))
+
+
 @dataclass(frozen=True)
 class ScanRecord:
     index: int
@@ -54,12 +62,7 @@ class ScanRecord:
     fields: Mapping[str, object]
 
     def to_json_line(self) -> str:
-        payload = {
-            "index": self.index,
-            "graph6": self.graph6,
-            "n": self.n,
-            "edge_count": self.edge_count,
-        }
+        payload = dict(index=self.index, graph6=self.graph6, n=self.n, edge_count=self.edge_count)
         payload.update(self.fields)
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -94,26 +97,24 @@ class ScanSummary:
         return "\n".join(lines) + "\n"
 
     def to_state(self) -> dict:
-        return {
-            "total": self.total,
-            "skipped": list(self.skipped),
-            "dk_counts": {str(k): v for k, v in sorted(self.dk_counts.items())},
-            "dk_min_n": {str(k): v for k, v in sorted(self.dk_min_n.items())},
-            "dk_first_graph6": {
-                str(k): v for k, v in sorted(self.dk_first_graph6.items())
-            },
-        }
+        state: dict = {"total": self.total, "skipped": list(self.skipped)}
+        for name, _ in _DK_TABLES:
+            state[name] = {str(k): v for k, v in sorted(getattr(self, name).items())}
+        return state
 
     @staticmethod
     def from_state(source_id: str, checks: tuple[str, ...], state: dict) -> "ScanSummary":
-        summary = ScanSummary(source_id=source_id, checks=checks)
-        summary.total = state["total"]
-        summary.skipped = list(state["skipped"])
-        summary.dk_counts = {int(k): v for k, v in state["dk_counts"].items()}
-        summary.dk_min_n = {int(k): v for k, v in state["dk_min_n"].items()}
-        summary.dk_first_graph6 = dict(
-            (int(k), v) for k, v in state["dk_first_graph6"].items()
-        )
+        try:
+            tables = {name: {int(k): v for k, v in state[name].items()} for name, _ in _DK_TABLES}
+            summary = ScanSummary(
+                source_id, checks, state["total"], list(state["skipped"]), **tables
+            )
+            if type(summary.total) is not int or any(
+                type(v) is not kind for name, kind in _DK_TABLES for v in tables[name].values()
+            ):
+                raise TypeError("total and the dk tables must hold integers or graph6 strings")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ScanError(f"checkpoint summary state is malformed: {exc!r}") from None
         return summary
 
 
@@ -128,44 +129,39 @@ class Checkpoint:
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
-        payload = {
-            "source_id": self.source_id,
-            "checks": list(self.checks),
-            "last_index": self.last_index,
-            "records_bytes": self.records_bytes,
-            "records_sha256": self.records_sha256,
-            "summary_state": self.summary_state,
-        }
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        tmp.write_text(json.dumps(asdict(self), sort_keys=True), encoding="utf-8")
         os.replace(tmp, path)
 
     @staticmethod
     def load(path: str | Path) -> "Checkpoint":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if "records_sha256" not in data:
+        """The checkpoint at `path`; ScanError unless it is one `save` could write."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+            raise ScanError(f"checkpoint {path} cannot be read: {exc}") from None
+        if isinstance(data, dict) and "records_sha256" not in data:
             raise ScanError(
                 f"checkpoint {path} has no records_sha256, so its record file "
                 "cannot be checked; delete the checkpoint and scan again"
             )
-        return Checkpoint(
-            source_id=data["source_id"],
-            checks=tuple(data["checks"]),
-            last_index=data["last_index"],
-            records_bytes=data["records_bytes"],
-            records_sha256=data["records_sha256"],
-            summary_state=data["summary_state"],
-        )
+        hints = get_type_hints(Checkpoint)
+        if not isinstance(data, dict) or data.keys() != hints.keys():
+            raise ScanError(f"checkpoint {path} must hold exactly the fields {sorted(hints)}")
+        for name, hint in hints.items():
+            kind = get_origin(hint) or hint
+            if kind is tuple and type(data[name]) is list:  # JSON has no tuples
+                data[name] = tuple(data[name])
+            if type(data[name]) is not kind:
+                raise ScanError(f"checkpoint {path}: {name} must be of type {kind.__name__}")
+        if data["last_index"] < -1 or data["records_bytes"] < 0:
+            raise ScanError(f"checkpoint {path}: last_index or records_bytes is negative")
+        return Checkpoint(**data)
 
 
-def source_id_for_file(path: str | Path) -> str:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return f"file:sha256:{digest}"
-
-
-def source_id_for_stdin(lines: Iterable[str]) -> str:
-    digest = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
-    return f"stdin:sha256:{digest}"
+def source_id_for_bytes(kind: str, data: bytes) -> str:
+    """Identity of a source read whole, e.g. kind "file" or "stdin"."""
+    return f"{kind}:sha256:{hashlib.sha256(data).hexdigest()}"
 
 
 def source_id_for_builtin(n: int) -> str:
@@ -177,9 +173,11 @@ def source_id_for_builtin(n: int) -> str:
 
 
 def _evaluate(
-    args: tuple[int, int, str, tuple[str, ...]]
-) -> tuple[int, int, str, dict | None, str | None]:
-    index, lineno, line, checks = args
+    checks: tuple[str, ...], item: tuple[int, tuple[int, str]]
+) -> tuple[int, str | tuple]:
+    """(source line, payload): the ScanRecord's fields as a tuple, or the
+    reason the line is skipped."""
+    index, (lineno, line) = item
     fields: dict[str, object] = {}
     try:
         g = parse_graph6(line)
@@ -190,27 +188,24 @@ def _evaluate(
         if "d3-membership" in checks:
             fields["d3_member"] = is_in_class_d3(g) is not None
         if "theorem1" in checks:
-            if fields.get("dk") is None:
-                fields["theorem1_ok"] = None
-            else:
+            ok = None  # Theorem 1 speaks only of D(k) graphs
+            if fields.get("dk") is not None:
                 result = check_theorem1(g)
-                fields["theorem1_ok"] = bool(
-                    result.all_classes_dominated
-                    and result.every_vertex_dominates_exactly_one
-                )
+                ok = result.all_classes_dominated and result.every_vertex_dominates_exactly_one
+            fields["theorem1_ok"] = ok
     except GraphError as exc:  # unparsable, or a graph some check rejects
-        return index, lineno, line, None, str(exc)
-    return index, lineno, line, {"n": g.n, "edge_count": g.edge_count(), "fields": fields}, None
+        return lineno, f"line {lineno} (record {index}): {exc}"
+    return lineno, (index, line, g.n, g.edge_count(), fields)
 
 
-def _iter_results(payloads, jobs: int):
+def _iter_results(items, checks: tuple[str, ...], jobs: int):
+    evaluate = partial(_evaluate, checks)
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
-        for item in payloads:
-            yield _evaluate(item)
+        yield from map(evaluate, items)
     else:
         with multiprocessing.Pool(processes=workers) as pool:
-            yield from pool.imap(_evaluate, payloads, chunksize=_POOL_BATCH)
+            yield from pool.imap(evaluate, items, chunksize=_POOL_BATCH)
 
 
 # ---------------------------------------------------------------------------
@@ -302,30 +297,25 @@ def scan_stream(
             out_file = open(out_path, "w", encoding="utf-8")
             records_bytes = 0
 
-    def payloads():
-        index = -1
-        for lineno, payload in iter_graph6_lines(lines):
-            index += 1
-            if index <= resume_from:
-                continue
-            yield index, lineno, payload, checks_t
+    def save_checkpoint() -> None:
+        if out_file is not None:
+            out_file.flush()
+        Checkpoint(
+            source_id, checks_t, last_index, records_bytes,
+            records_hash.hexdigest(), summary.to_state(),
+        ).save(checkpoint_path)
 
+    items = islice(enumerate(iter_graph6_lines(lines)), resume_from + 1, None)
     last_index = resume_from
     try:
-        for index, lineno, line, result, error in _iter_results(payloads(), jobs):
-            if error is not None:
+        for lineno, payload in _iter_results(items, checks_t, jobs):
+            last_index += 1
+            if isinstance(payload, str):
                 if strict:
-                    raise ScanError(f"line {lineno} (record {index}): {error}")
-                summary.skipped.append([index, lineno])
-                last_index = index
+                    raise ScanError(payload)
+                summary.skipped.append([last_index, lineno])
                 continue
-            record = ScanRecord(
-                index=index,
-                graph6=line,
-                n=result["n"],
-                edge_count=result["edge_count"],
-                fields=result["fields"],
-            )
+            record = ScanRecord(*payload)
             summary.absorb(record)
             if records_sink is not None:
                 records_sink.append(record)
@@ -335,26 +325,14 @@ def scan_stream(
                 data = text.encode("utf-8")
                 records_hash.update(data)
                 records_bytes += len(data)
-            last_index = index
-            if (
-                checkpoint_path is not None
-                and (index + 1) % checkpoint_every == 0
-            ):
-                if out_file is not None:
-                    out_file.flush()
-                Checkpoint(
-                    source_id, checks_t, last_index, records_bytes,
-                    records_hash.hexdigest(), summary.to_state(),
-                ).save(checkpoint_path)
+            if checkpoint_path is not None and (last_index + 1) % checkpoint_every == 0:
+                save_checkpoint()
+        if checkpoint_path is not None:
+            save_checkpoint()
     finally:
         if out_file is not None:
             out_file.close()
 
-    if checkpoint_path is not None:
-        Checkpoint(
-            source_id, checks_t, last_index, records_bytes,
-            records_hash.hexdigest(), summary.to_state(),
-        ).save(checkpoint_path)
     if summary_path is not None:
         Path(summary_path).write_text(summary.to_csv(), encoding="utf-8")
     return summary

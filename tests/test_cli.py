@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +205,95 @@ def test_scan_stdin_checkpoint_is_bound_to_the_stream(capsys, tmp_path, monkeypa
     assert code == 0 and json.loads(stdout)["total"] == 6
     code, _out, err = run_cli(capsys, argv, stdin_text=n5, monkeypatch=monkeypatch)
     assert code == 2 and "checkpoint does not match" in err
+
+
+def test_scan_output_bytes_are_pinned(capsys, tmp_path):
+    # sha256 of every output of one scan with all four checks, so that a
+    # refactor of the scan path that moves any byte fails here
+    out, summ, cp = tmp_path / "r.jsonl", tmp_path / "s.csv", tmp_path / "cp.json"
+    code, stdout, _ = run_cli(
+        capsys,
+        ["scan", "--builtin", "6", "--checks", "invariants,planarity,d3-membership,theorem1",
+         "--out", str(out), "--summary", str(summ), "--checkpoint", str(cp), "--jobs", "2"],
+    )
+    assert code == 0
+    outputs = (out.read_bytes(), summ.read_bytes(), cp.read_bytes(), stdout.encode("utf-8"))
+    assert [hashlib.sha256(data).hexdigest() for data in outputs] == [
+        "3294e6ba8dba6663288d0b095b8be424d524ac2b2addf1044758b93ded73354f",
+        "11cc0ace669b745a4cdf17961e9f2d6dc0fefd38de4a7fb870d93b88bd941f0e",
+        "8f7aab4c6980249cc6cc9e452c711027382aabaf95c1b1e2a8883bd30f7dff7c",
+        "7a940db7a27095ac6054cee12306f03a317d57f8d1f0f6327054a1383fd0a1ba",
+    ]
+
+
+def _corrupt_text(text):
+    return "{not json"
+
+
+def _corrupt_drop_field(text):
+    payload = json.loads(text)
+    del payload["last_index"]
+    return json.dumps(payload)
+
+
+def _corrupt_field_type(text):
+    return json.dumps(dict(json.loads(text), last_index="zero"))
+
+
+def _corrupt_negative_index(text):
+    return json.dumps(dict(json.loads(text), last_index=-2))
+
+
+def _corrupt_summary_state(text):
+    return json.dumps(dict(json.loads(text), summary_state={"total": 3}))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_corrupt_text, "cannot be read"),
+        (_corrupt_drop_field, "exactly the fields"),
+        (_corrupt_field_type, "last_index must be of type int"),
+        (_corrupt_negative_index, "is negative"),
+        (_corrupt_summary_state, "summary state is malformed"),
+    ],
+)
+def test_scan_refuses_a_malformed_checkpoint(capsys, tmp_path, corrupt, message):
+    src = tmp_path / "n5.g6"
+    src.write_text("".join(to_graph6(g) + "\n" for g in enumerate_connected(5)))
+    out, cp = tmp_path / "records.jsonl", tmp_path / "cp.json"
+    argv = ["scan", "--source", str(src), "--out", str(out), "--checkpoint", str(cp)]
+    assert run_cli(capsys, argv)[0] == 0
+    records = out.read_bytes()
+    cp.write_text(corrupt(cp.read_text()))
+    code, stdout, err = run_cli(capsys, argv)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and message in err
+    assert out.read_bytes() == records
+
+
+def test_scan_refuses_a_source_file_that_is_not_utf8(capsys, tmp_path):
+    src = tmp_path / "bad.g6"
+    src.write_bytes(b"Bw\n\xff\n")
+    out = tmp_path / "records.jsonl"
+    code, stdout, err = run_cli(capsys, ["scan", "--source", str(src), "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "not UTF-8" in err
+    assert not out.exists()
+
+
+def test_scan_refuses_stdin_that_is_not_utf8(tmp_path):
+    # a subprocess, so that stdin is decoded as the interpreter decodes it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "records.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "domchrom", "scan", "--source", "-", "--out", str(out)],
+        input=b"Bw\n\xff\n", capture_output=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error:") and b"not UTF-8" in proc.stderr
+    assert not out.exists()
 
 
 def test_deadline_env_rejected_when_malformed(capsys, monkeypatch):
