@@ -76,16 +76,25 @@ def _report_json(report, graph6: str) -> dict:
     return payload
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Refuse, before any work, an output path that is a directory or lies
+    in a directory that does not exist."""
+    for path in filter(None, paths):
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise GraphError(f"cannot write {path}: not a file in an existing directory")
+
+
 def _write_sidecars(args, g: Graph, labeling: VertexLabeling) -> None:
-    if getattr(args, "labels", None):
+    if args.labels:
         Path(args.labels).write_text(
             json.dumps(labeling.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
         )
-    if getattr(args, "dot", None):
+    if args.dot:
         Path(args.dot).write_text(to_dot(g, labeling), encoding="utf-8")
 
 
 def _cmd_construct(args) -> int:
+    _check_writable(args.labels, args.dot)
     if args.family == "d-odd":
         g, labeling = constructions.build_d_odd(constructions.DOddSpec(args.k, args.n))
     elif args.family == "d-even":
@@ -204,6 +213,7 @@ def _env_number(name: str, kind: type, default):
 
 
 def _cmd_scan(args) -> int:
+    _check_writable(args.out, args.summary, args.checkpoint)
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     jobs = args.jobs
     if jobs is None:

@@ -20,8 +20,8 @@ leaf's vertex at position j is then that automorphism's image of the
 explored branch that put the best leaf's vertex there, so the search drops
 what is left of it (first-path pruning; McKay and Piperno, "Practical graph
 isomorphism II", 2014). The automorphisms so found generate the
-automorphism group. `naive.refined_canonical_form` computes the same value
-by trying every order.
+automorphism group. `refined_canonical_form` in `tests/oracles.py` computes
+the same value by trying every order.
 
 The built-in generator covers 1 <= n <= 7 by repeatedly attaching one new
 vertex to every smaller connected graph (every connected graph has a

@@ -22,6 +22,10 @@ branch vertices a K_{3,3} or K_5 subdivision needs. The deletion keeps only
 the 2-core of the kept graph: an edge outside it is a bridge into a pendant
 tree and goes untested, and an edge inside it is tested on the re-peeled
 core. The edges kept, and so the witness, are those of one LR run per edge.
+The witness is read off the final core's rows: branch vertices are the rows
+with more than two bits set, and each path is walked bit by bit between
+them. The tests check it against `tests/oracles.py`, which deletes edges
+one networkx planarity test at a time and classifies its own edge list.
 
 Certificates are verified by re-walking, not trusted: embeddings via
 Euler's formula per connected component, witnesses by tracing their
@@ -520,44 +524,34 @@ def _witness_by_deletion(g: Graph) -> KuratowskiWitness:
         _peel(trial, [u, v])
         if not lr_is_planar(Graph(g.n, trial, _checked=True)):
             core = trial
-    return _classify_subdivision(g.n, list(Graph(g.n, core, _checked=True).edges()))
+    return _classify_subdivision(core)
 
 
-def _classify_subdivision(n: int, edges: list[tuple[int, int]]) -> KuratowskiWitness:
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    degree = {v: len(nbrs) for v, nbrs in adj.items()}
-    branch = sorted(v for v, d in degree.items() if d > 2)
-    if all(degree[v] == 4 for v in branch) and len(branch) == 5:
+def _classify_subdivision(core: list[int]) -> KuratowskiWitness:
+    """Read a K_5 or K_{3,3} subdivision off the rows of an edge-minimal
+    non-planar 2-core. Its branch vertices are the rows with more than two
+    bits set, and every other vertex left has degree 2. Each branch-to-branch
+    path is walked bit by bit from both ends and kept from its smaller end."""
+    branch = tuple(v for v, row in enumerate(core) if row.bit_count() > 2)
+    degrees = [core[v].bit_count() for v in branch]
+    if degrees == [4] * 5:
         kind = "K5"
-    elif all(degree[v] == 3 for v in branch) and len(branch) == 6:
+    elif degrees == [3] * 6:
         kind = "K33"
     else:
         raise AssertionError(
             f"minimal non-planar subgraph is not a Kuratowski subdivision: "
-            f"branch degrees {[degree[v] for v in branch]}"
+            f"branch degrees {degrees}"
         )
     paths = []
-    walked: set[frozenset[int]] = set()
     for b in branch:
-        for first in sorted(adj[b]):
-            step = frozenset((b, first))
-            if step in walked:
-                continue
+        for first in iter_bits(core[b]):
             path = [b, first]
-            walked.add(step)
-            while path[-1] not in branch:
-                prev, cur = path[-2], path[-1]
-                nxt = [x for x in adj[cur] if x != prev]
-                if len(nxt) != 1:
-                    raise AssertionError("interior vertex of subdivision has degree != 2")
-                path.append(nxt[0])
-                walked.add(frozenset((cur, nxt[0])))
-            paths.append(tuple(path))
-    witness = KuratowskiWitness(kind, tuple(branch), tuple(sorted(paths)))
-    return witness
+            while core[path[-1]].bit_count() == 2:
+                path.append((core[path[-1]] & ~(1 << path[-2])).bit_length() - 1)
+            if b < path[-1]:
+                paths.append(tuple(path))
+    return KuratowskiWitness(kind, branch, tuple(sorted(paths)))
 
 
 # ---------------------------------------------------------------------------

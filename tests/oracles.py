@@ -3,8 +3,9 @@
 Everything here is written straight from the definitions: subsets by
 increasing size, all set partitions, all vertex permutations, minors by
 recursive contraction. These routines double-check the optimized solvers
-and stay deliberately independent of them; they are only meant for small
-orders (roughly n <= 8).
+and stay deliberately independent of them: they use only public `domchrom`
+names, and `kuratowski_by_deletion` decides planarity with networkx. They
+are only meant for small orders (roughly n <= 8).
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
-from .graphs import Graph, GraphError, from_edge_list, iter_bits
-from .planarity import KuratowskiWitness, _classify_subdivision, _LRPlanarity
+from domchrom.graphs import Graph, GraphError, is_connected, iter_bits
+from domchrom.planarity import KuratowskiWitness
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +213,6 @@ def refined_canonical_form(g: Graph) -> int:
 
 def connected_graphs(n: int) -> list[int]:
     """Canonical forms of all connected graphs on n vertices (filter + dedupe)."""
-    from .graphs import is_connected
-
     pairs = list(combinations(range(n), 2))
     forms = set()
     for mask in range(1 << len(pairs)):
@@ -222,14 +221,15 @@ def connected_graphs(n: int) -> list[int]:
             if mask >> i & 1:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-        g = Graph(n, rows, _checked=True)
+        g = Graph(n, rows)
         if is_connected(g):
             forms.add(canonical_form(g))
     return sorted(forms)
 
 
 # ---------------------------------------------------------------------------
-# Planarity oracle: Kuratowski minors by recursive edge contraction.
+# Planarity oracles: Kuratowski minors by recursive edge contraction, and
+# Kuratowski witnesses by edge deletion decided with networkx.
 
 
 def _has_k5_subgraph(g: Graph) -> bool:
@@ -268,7 +268,7 @@ def _contract(g: Graph, u: int, v: int) -> Graph:
                 x = u
             if x != w:
                 rows[pos[w]] |= 1 << pos[x]
-    return Graph(g.n - 1, rows, _checked=True)
+    return Graph(g.n - 1, rows)
 
 
 _minor_cache: dict[tuple[int, tuple[int, ...]], bool] = {}
@@ -300,14 +300,54 @@ def is_planar(g: Graph) -> bool:
 
 
 def kuratowski_by_deletion(g: Graph) -> KuratowskiWitness:
-    """Kuratowski witness by one plain LR run per edge: delete each edge in
-    sorted order unless that makes the kept graph planar. No 2-core screen."""
-    if _LRPlanarity(g).run():
+    """Kuratowski witness by one networkx planarity test per edge: delete each
+    edge in sorted order unless that makes the kept graph planar. No 2-core
+    screen. networkx is imported here, so the other oracles run without it."""
+    import networkx as nx
+
+    kept = nx.Graph(g.edges())
+    if nx.check_planarity(kept)[0]:
         raise GraphError("graph is planar; no Kuratowski witness exists")
-    edges = sorted(g.edges())
-    kept = list(edges)
-    for e in edges:
-        trial = [f for f in kept if f != e]
-        if not _LRPlanarity(from_edge_list(g.n, trial)).run():
-            kept = trial
-    return _classify_subdivision(g.n, kept)
+    for e in sorted(g.edges()):
+        kept.remove_edge(*e)
+        if nx.check_planarity(kept)[0]:
+            kept.add_edge(*e)
+    return _classify_subdivision(list(kept.edges()))
+
+
+def _classify_subdivision(edges: list[tuple[int, int]]) -> KuratowskiWitness:
+    """Branch vertices and branch-to-branch paths of a K_5 or K_{3,3}
+    subdivision given by its edge list."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    degree = {v: len(nbrs) for v, nbrs in adj.items()}
+    branch = sorted(v for v, d in degree.items() if d > 2)
+    if all(degree[v] == 4 for v in branch) and len(branch) == 5:
+        kind = "K5"
+    elif all(degree[v] == 3 for v in branch) and len(branch) == 6:
+        kind = "K33"
+    else:
+        raise AssertionError(
+            f"minimal non-planar subgraph is not a Kuratowski subdivision: "
+            f"branch degrees {[degree[v] for v in branch]}"
+        )
+    paths = []
+    walked: set[frozenset[int]] = set()
+    for b in branch:
+        for first in sorted(adj[b]):
+            step = frozenset((b, first))
+            if step in walked:
+                continue
+            path = [b, first]
+            walked.add(step)
+            while path[-1] not in branch:
+                prev, cur = path[-2], path[-1]
+                nxt = [x for x in adj[cur] if x != prev]
+                if len(nxt) != 1:
+                    raise AssertionError("interior vertex of subdivision has degree != 2")
+                path.append(nxt[0])
+                walked.add(frozenset((cur, nxt[0])))
+            paths.append(tuple(path))
+    return KuratowskiWitness(kind, tuple(branch), tuple(sorted(paths)))

@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from domchrom import naive
+import oracles as naive
 from domchrom.constructions import (
     DEvenSpec,
     DOddSpec,

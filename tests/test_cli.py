@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from domchrom import scan as scanmod
 from domchrom.cli import main
 from domchrom.constructions import DOddSpec, build_d_odd
 from domchrom.enumeration import are_isomorphic, enumerate_connected
@@ -294,6 +295,31 @@ def test_scan_refuses_stdin_that_is_not_utf8(tmp_path):
     assert proc.returncode == 2 and proc.stdout == b""
     assert proc.stderr.startswith(b"error:") and b"not UTF-8" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--builtin", "4", "--out", "."],
+        ["scan", "--builtin", "4", "--out", "out.jsonl", "--summary", "missing/x.csv"],
+        ["scan", "--builtin", "4", "--out", "out.jsonl", "--checkpoint", "missing/cp.json"],
+        ["construct", "kpq", "--p", "2", "--q", "3", "--labels", "missing/l.json"],
+        ["construct", "kpq", "--p", "2", "--q", "3", "--dot", "missing/g.dot"],
+    ],
+)
+def test_unwritable_output_paths_are_refused_first(capsys, tmp_path, monkeypatch, argv):
+    # the last argument cannot be written: refused before any graph is
+    # evaluated or any output written
+    monkeypatch.chdir(tmp_path)
+
+    def evaluate(*args):
+        raise AssertionError("a graph was evaluated")
+
+    monkeypatch.setattr(scanmod, "_evaluate", evaluate)
+    code, stdout, err = run_cli(capsys, argv)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and argv[-1] in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deadline_env_rejected_when_malformed(capsys, monkeypatch):

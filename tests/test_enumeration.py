@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from domchrom import naive
+import oracles as naive
 from domchrom.enumeration import (
     CONNECTED_COUNTS,
     _search,

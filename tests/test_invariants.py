@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from domchrom import naive
+import oracles as naive
 from domchrom.constructions import DEvenSpec, DOddSpec, build_d_even, build_d_odd
 from domchrom.enumeration import enumerate_connected
 from domchrom.graphs import GraphError, complete_bipartite, from_edge_list, is_connected

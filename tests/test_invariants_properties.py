@@ -8,7 +8,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domchrom import naive
+import oracles as naive
 from domchrom.graphs import from_edge_list
 from domchrom.invariants import (
     Coloring,

@@ -10,7 +10,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from domchrom import naive
+import oracles as naive
 from domchrom.constructions import DOddSpec, build_d_odd, build_d3, enumerate_d3_blueprints
 from domchrom.enumeration import enumerate_connected
 from domchrom import planarity
@@ -125,6 +125,23 @@ def test_embeddings_through_n7_are_pinned():
     assert count == 775
     assert digest.hexdigest() == (
         "d4256049301cdad279119b0819a06cf44ad4d305ff51741d27ec1cffb53a44df"
+    )
+
+
+def test_kuratowski_witnesses_through_n7_are_pinned():
+    # sha256 of the witnesses of all 221 non-planar connected graphs with
+    # n <= 7, in enumeration order: the oracle comparison alone would miss a
+    # change made to the library's classifier and the oracle's at once
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            if not lr_is_planar(g):
+                digest.update(repr(kuratowski_witness(g)).encode() + b"\n")
+                count += 1
+    assert count == 221
+    assert digest.hexdigest() == (
+        "84e14abdeb9d7f908709aea05a53c1e8b194282e797dfc93d9fe2d4089c5c74d"
     )
 
 

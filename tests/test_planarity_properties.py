@@ -8,7 +8,7 @@ nx = pytest.importorskip("networkx")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domchrom import naive
+import oracles as naive
 from domchrom.graphs import from_edge_list
 from domchrom.planarity import kuratowski_witness, lr_is_planar, verify_kuratowski
 

@@ -16,7 +16,7 @@ from domchrom.enumeration import are_isomorphic, canonical_form, enumerate_conne
 from domchrom.graph6 import parse_graph6
 from domchrom.graphs import GraphError, complete_bipartite, from_edge_list
 from domchrom.invariants import Coloring, is_total_dominating_set
-from domchrom.naive import (
+from oracles import (
     blocks_are_independent,
     set_partitions,
 )
