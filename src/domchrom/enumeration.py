@@ -4,6 +4,8 @@ Canonical form = the minimum upper-triangle adjacency encoding over all
 vertex orderings that respect the stable color-refinement partition (classes
 ordered by their isomorphism-invariant signatures). Equal forms therefore
 mean isomorphic graphs, and each isomorphism class has one representative.
+Each refinement round counts only in the parts the last one split off but
+the last; other counts agree wherever those do, so the cell order stands.
 
 The form is found by branch and bound, not by trying every such order. The
 encoding is row-major, and row i depends only on the vertex at position i
@@ -23,13 +25,11 @@ isomorphism II", 2014). The automorphisms so found generate the
 automorphism group. `refined_canonical_form` in `tests/oracles.py` computes
 the same value by trying every order.
 
-The built-in generator covers 1 <= n <= 7 by repeatedly attaching one new
-vertex to every smaller connected graph (every connected graph has a
-non-cut vertex, so the extension is complete). New neighbourhoods in one
-orbit of the parent's automorphism group give isomorphic graphs, so only
-one per orbit is canonicalized. Beyond 7, callers are expected to stream
-externally produced graph6 input; `extend_connected` is the helper that
-manufactures such streams one order at a time.
+The built-in generator covers 1 <= n <= 7 by attaching one new vertex to
+every smaller connected graph (each has a non-cut vertex, so this is
+complete), canonicalizing one neighbourhood per orbit of the parent's
+automorphism group. Larger orders stream external graph6 input, which
+`extend_connected` can make one order at a time.
 """
 
 from __future__ import annotations
@@ -50,32 +50,48 @@ def _refined_cells(g: Graph) -> list[int]:
     """Stable 1-dimensional color refinement, as ordered vertex bitmask cells.
 
     The cells start as the degree classes, by increasing degree. Each round
-    splits every cell by how many neighbours its vertices have in each cell
-    of the previous round. The parts of a cell are ordered by the sorted
-    tuple of their neighbours' cell indices; all vertices of a cell have the
-    same degree, so that is the order of the negated count vectors.
+    splits every cell by neighbour counts, parts by descending counts, until
+    a round splits nothing. It counts only in the parts the last round split
+    off, less each split cell's last part (first, all degree classes but the
+    last): within a cell the count in an unsplit cell is the same for every
+    vertex, and so is the sum over a split cell's parts, so the full count
+    vectors first differ at a counted part and are ordered as the keys. A
+    key packs the counts, n.bit_length() bits per part, the first highest.
     """
     adj = g.adj
+    width = g.n.bit_length()
     by_degree: dict[int, int] = {}
     for v, row in enumerate(adj):
         d = row.bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     cells = [by_degree[d] for d in sorted(by_degree)]
-    while True:
+    splitters = cells[:-1]
+    while splitters:
         split = []
+        splitters_next = []
         for cell in cells:
             if not cell & (cell - 1):
                 split.append(cell)
                 continue
-            parts: dict[tuple[int, ...], int] = {}
-            for v in iter_bits(cell):
-                row = adj[v]
-                key = tuple([-(row & c).bit_count() for c in cells])
-                parts[key] = parts.get(key, 0) | 1 << v
-            split += [parts[key] for key in sorted(parts)]
-        if len(split) == len(cells):
-            return cells
+            parts: dict[int, int] = {}
+            x = cell
+            while x:
+                low = x & -x
+                x ^= low
+                row = adj[low.bit_length() - 1]
+                key = 0
+                for s in splitters:
+                    key = key << width | (row & s).bit_count()
+                parts[key] = parts.get(key, 0) | low
+            if len(parts) == 1:
+                split.append(cell)
+                continue
+            ordered = [parts[key] for key in sorted(parts, reverse=True)]
+            split += ordered
+            splitters_next += ordered[:-1]
         cells = split
+        splitters = splitters_next
+    return cells
 
 
 def _search(g: Graph) -> tuple[int, list[list[int]]]:
@@ -108,13 +124,14 @@ def _search(g: Graph) -> tuple[int, list[list[int]]]:
         if depth:
             path[depth - 1] = v
         if len(cells) == m:  # discrete: one order is left
-            for i, cell in enumerate(cells, 1):
-                row = adj[cell.bit_length() - 1]
-                for later in cells[i:]:
-                    code = code << 1 | (row & later != 0)
+            tail = [cell.bit_length() - 1 for cell in cells]
+            for i, u in enumerate(tail, 1):
+                row = adj[u]
+                for w in tail[i:]:
+                    code = code << 1 | row >> w & 1
             if 0 <= best < code:
                 continue
-            order = path[:depth] + [cell.bit_length() - 1 for cell in cells]
+            order = path[:depth] + tail
             if code != best:
                 best = code
                 best_order = order
@@ -134,16 +151,19 @@ def _search(g: Graph) -> tuple[int, list[list[int]]]:
             continue
         first = cells[0]
         rest = cells[1:]
-        sizes = [c.bit_count() for c in rest]
         top = -1
         tied: list[int] = []
-        for v in iter_bits(first):
+        x = first
+        while x:
+            low = x & -x
+            x ^= low
+            v = low.bit_length() - 1
             # v's row when each later cell lists its non-neighbours of v first;
             # v is not its own neighbour, so first & a lies in the rest of its cell
             a = adj[v]
             row = (1 << (first & a).bit_count()) - 1
-            for c, s in zip(rest, sizes):
-                row = row << s | (1 << (c & a).bit_count()) - 1
+            for c in rest:
+                row = row << c.bit_count() | (1 << (c & a).bit_count()) - 1
             if row < top or top < 0:
                 top = row
                 tied = [v]
@@ -155,10 +175,11 @@ def _search(g: Graph) -> tuple[int, list[list[int]]]:
             continue
         for v in tied:
             a = adj[v]
+            na = ~a
             split = []
             for c in (first ^ 1 << v, *rest):
-                if c & ~a:
-                    split.append(c & ~a)
+                if c & na:
+                    split.append(c & na)
                 if c & a:
                     split.append(c & a)
             stack.append((split, m, code, v))
@@ -216,11 +237,8 @@ def canonical_graph(g: Graph) -> Graph:
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    return canonical_form(g) == canonical_form(h)
+    return (g.degree_sequence() == h.degree_sequence()
+            and canonical_form(g) == canonical_form(h))
 
 
 def extend_connected(graphs: Sequence[Graph]) -> list[Graph]:
@@ -247,20 +265,15 @@ def extend_connected(graphs: Sequence[Graph]) -> list[Graph]:
                 seen[bits] = h.edge_count()
     if out_n is None:
         raise GraphError("extend_connected needs at least one input graph")
-    ordered = sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
-    return [_bits_to_graph(out_n, bits) for bits, _ in ordered]
+    return [_bits_to_graph(out_n, b) for b in sorted(seen, key=lambda b: (seen[b], b))]
 
 
 _builtin_cache: dict[int, list[Graph]] = {}
 
 
 def enumerate_connected(n: int) -> list[Graph]:
-    """All connected graphs on n vertices, one canonical representative per
-    isomorphism class, in a fixed order (edge count, then encoding).
-
-    The built-in generator stops at n = 7; stream externally generated
-    graph6 input for larger orders.
-    """
+    """All connected graphs on n <= 7 vertices, one canonical representative
+    per isomorphism class, in a fixed order (edge count, then encoding)."""
     if n < 1:
         raise GraphError(f"order must be >= 1, got {n}")
     if n > MAX_BUILTIN_ORDER:

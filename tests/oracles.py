@@ -200,6 +200,15 @@ def _refine_colors(g: Graph) -> list[int]:
         colors = new_colors
 
 
+def refined_cells(g: Graph) -> list[int]:
+    """The stable color-refinement classes as vertex bitmasks, in class-id order."""
+    colors = _refine_colors(g)
+    cells = [0] * len(set(colors))
+    for v, c in enumerate(colors):
+        cells[c] |= 1 << v
+    return cells
+
+
 def refined_canonical_form(g: Graph) -> int:
     """Minimum adjacency encoding over the vertex orders that list the stable
     color-refinement classes in class-id order, each class permuted freely."""

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from itertools import combinations, permutations
@@ -7,6 +8,7 @@ import pytest
 import oracles as naive
 from domchrom.enumeration import (
     CONNECTED_COUNTS,
+    _refined_cells,
     _search,
     are_isomorphic,
     canonical_form,
@@ -110,6 +112,55 @@ def _extension_candidates(parents):
             for v in iter_bits(nbhd):
                 rows[v] |= 1 << n
             yield Graph(n + 1, rows)
+
+
+def _random_graphs(count, max_n, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        p = rng.random()
+        pairs = combinations(range(n), 2)
+        yield from_edge_list(n, [e for e in pairs if rng.random() < p])
+
+
+@pytest.mark.parametrize(
+    "graphs, count",
+    [
+        pytest.param(
+            lambda: _labelled_graphs(5),
+            sum(2 ** (n * (n - 1) // 2) for n in range(6)),
+            id="labelled-n<=5",
+        ),
+        pytest.param(
+            lambda: _relabelled_connected(7),
+            3 * sum(CONNECTED_COUNTS.values()),
+            id="relabelled-connected-n<=7",
+        ),
+        pytest.param(lambda: _random_graphs(2000, 16, seed=12), 2000, id="random-n<=16"),
+    ],
+)
+def test_refined_cells_equal_reference_refinement(graphs, count):
+    checked = 0
+    for g in graphs():
+        assert _refined_cells(g) == naive.refined_cells(g), (g.n, g.adj)
+        checked += 1
+    assert checked == count
+
+
+def test_search_output_is_pinned():
+    # sha256 of repr((code, automorphisms)) for every graph extend_connected
+    # could canonicalize from the order-6 parents and every 10th order-7
+    # parent, recorded before the splitter refinement replaced full recounts
+    digest = hashlib.sha256()
+    checked = 0
+    parents = enumerate_connected(6) + enumerate_connected(7)[::10]
+    for h in _extension_candidates(parents):
+        digest.update(repr(_search(h)).encode() + b"\n")
+        checked += 1
+    assert checked == 112 * 63 + 86 * 127
+    assert digest.hexdigest() == (
+        "1ed0426f746fe7df4cebfd653bf5c4c5f46968a8954cdfdaae3565ef680a4cbc"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
 
 from domchrom.enumeration import enumerate_connected
-from domchrom.graph6 import Graph6Error, iter_graph6_lines, parse_graph6, to_graph6
+from domchrom.graph6 import HEADER, Graph6Error, iter_graph6_lines, parse_graph6, to_graph6
 from domchrom.graphs import from_edge_list
 
 
@@ -106,3 +107,50 @@ def test_iter_graph6_lines():
     parsed = list(iter_graph6_lines(lines))
     assert [payload for _ln, payload in parsed] == ["Bw", "A?", "@"]
     assert [ln for ln, _ in parsed] == [1, 3, 5]
+
+
+def _fuzz(strategy, max_examples):
+    """Run a property over `strategy` with fixed settings, or skip without
+    hypothesis (the rest of this module does not need it)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    settings = hypothesis.settings(
+        max_examples=max_examples, deadline=None, derandomize=True
+    )
+    return lambda prop: settings(hypothesis.given(strategy(hypothesis.strategies))(prop))
+
+
+def test_fuzzed_round_trip_crosses_the_long_size_prefix():
+    # 0 <= n <= 70 with any edge set; n >= 63 takes the 4-byte size prefix
+    def graphs(st):
+        return st.integers(0, 70).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))
+        )
+
+    @_fuzz(graphs, max_examples=300)
+    def round_trip(case):
+        n, bits = case
+        pairs = combinations(range(n), 2)
+        g = from_edge_list(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+        assert parse_graph6(to_graph6(g)) == g
+
+    round_trip()
+
+
+def test_fuzzed_strings_parse_back_or_fail_at_an_offset():
+    # characters 58..130 straddle the legal 63..126; no whitespace, so the
+    # payload is exactly what follows the optional header
+    def strings(st):
+        body = st.text(st.characters(min_codepoint=58, max_codepoint=130))
+        return st.tuples(st.booleans(), body)
+
+    @_fuzz(strings, max_examples=1000)
+    def parse(case):
+        header, body = case
+        try:
+            g = parse_graph6(HEADER + body if header else body)
+        except Graph6Error as exc:
+            assert exc.offset is not None and 0 <= exc.offset <= len(body), exc
+        else:
+            assert to_graph6(g) == body
+
+    parse()
