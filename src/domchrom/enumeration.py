@@ -4,8 +4,8 @@ Canonical form = the minimum upper-triangle adjacency encoding over all
 vertex orderings that respect the stable color-refinement partition (classes
 ordered by their isomorphism-invariant signatures). Equal forms therefore
 mean isomorphic graphs, and each isomorphism class has one representative.
-Each refinement round counts only in the parts the last one split off but
-the last; other counts agree wherever those do, so the cell order stands.
+Refinement counts only in the parts split off last round, less each cell's
+last part; the other counts agree wherever those do, so the order stands.
 
 The form is found by branch and bound, not by trying every such order. The
 encoding is row-major, and row i depends only on the vertex at position i

@@ -121,8 +121,7 @@ def main(argv=None) -> int:
     parser.add_argument("--side", action="append", required=True, metavar="NAME=DIR",
                         help="a checkout to run, in order; give two")
     parser.add_argument("--workload", action="append", default=[], metavar="NAME[:SEEDS]",
-                        help="a workload and its seeds, e.g. survey8:1-10 (default seeds: --seeds)")
-    parser.add_argument("--seeds", default="1", help="seeds for workloads given without any")
+                        help="a workload and its seeds, e.g. survey8:1-10 (default: seed 1)")
     parser.add_argument("--seconds", type=float, default=15)
     parser.add_argument("--trace-workload", action="append", default=[], metavar="NAME[:SEEDS]",
                         help="the same, run with --trace 1")
@@ -132,13 +131,21 @@ def main(argv=None) -> int:
     checkouts = {}
     for spec in args.side:
         name, _, path = spec.partition("=")
+        if not (name and path):
+            parser.error(f"--side {spec}: expected NAME=DIR")
         checkouts[name] = Path(path).resolve()
     sides = list(checkouts)
+    if len(sides) != 2:
+        parser.error("give two --side checkouts with distinct names")
     plan = []
     for trace, specs in enumerate((args.workload, args.trace_workload)):
         for spec in specs:
             workload, _, seeds = spec.partition(":")
-            for i, seed in enumerate(_seeds(seeds or args.seeds)):
+            try:
+                seed_list = _seeds(seeds or "1")
+            except ValueError:
+                parser.error(f"{spec}: seeds must look like 1-10 or 1,3,5")
+            for i, seed in enumerate(seed_list):
                 order = sides if i % 2 == 0 else sides[::-1]
                 plan += [(side, workload, seed, trace) for side in order]
 
