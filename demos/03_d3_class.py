@@ -8,6 +8,8 @@ class vertex x3). A graph is D(3) exactly when some role assignment matches
 these rules, so membership is decidable by search.
 """
 
+from itertools import islice
+
 from domchrom import (
     D3Blueprint,
     build_d3,
@@ -42,7 +44,7 @@ print("first one builds:", to_graph6(g), "-> D(%s)" % compute_report(g).dk)
 print()
 print("== every built member is D(3) ==")
 for a, b in [(3, 4), (4, 4), (5, 3)]:
-    for bp in enumerate_d3_blueprints(a, b, limit=2):
+    for bp in islice(enumerate_d3_blueprints(a, b), 2):
         g, _ = build_d3(bp)
         r = compute_report(g)
         assert r.dk == 3

@@ -7,6 +7,8 @@ subdivision found by deleting edges while non-planarity persists, verified
 by re-walking its branch paths.
 """
 
+from itertools import islice
+
 from domchrom import (
     build_d3,
     complete_bipartite,
@@ -47,7 +49,7 @@ print("the subdivided path shows up:", [p for p in verdict.witness.paths if len(
 
 print()
 print("== every member of the D(3) class is non-planar ==")
-for bp in enumerate_d3_blueprints(3, 4, limit=3):
+for bp in islice(enumerate_d3_blueprints(3, 4), 3):
     g, lab = build_d3(bp)
     verdict = is_planar(g)
     assert not verdict.planar and verify_kuratowski(g, verdict.witness)

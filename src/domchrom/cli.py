@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import constructions, scan as scanmod
@@ -102,12 +103,9 @@ def _cmd_construct(args) -> int:
     elif args.family == "kpq":
         g, labeling = complete_bipartite(args.p, args.q)
     else:  # d3
-        chosen = None
-        for i, bp in enumerate(constructions.enumerate_d3_blueprints(args.a, args.b)):
-            if i == args.index:
-                chosen = bp
-                break
-        if chosen is None:
+        blueprints = constructions.enumerate_d3_blueprints(args.a, args.b)
+        chosen = next(islice(blueprints, max(args.index, 0), None), None)
+        if chosen is None or args.index < 0:
             raise GraphError(
                 f"no valid blueprint at index {args.index} for sizes ({args.a}, {args.b})"
             )

@@ -208,17 +208,6 @@ class D3Blueprint:
              tuple(sorted(self.rule4_assign.items())))
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, D3Blueprint):
-            return NotImplemented
-        return (
-            self.a == other.a
-            and self.b == other.b
-            and self.rule2_set == other.rule2_set
-            and self.rule3_set == other.rule3_set
-            and dict(self.rule4_assign) == dict(other.rule4_assign)
-        )
-
     # Named indices in the canonical layout.
     @property
     def x1(self) -> int:
@@ -389,9 +378,7 @@ def build_d3(bp: D3Blueprint) -> tuple[Graph, VertexLabeling]:
     return g, labeling
 
 
-def enumerate_d3_blueprints(
-    a: int, b: int, limit: int | None = None
-) -> Iterator[D3Blueprint]:
+def enumerate_d3_blueprints(a: int, b: int) -> Iterator[D3Blueprint]:
     """Valid blueprints for class sizes (a, b) in a fixed deterministic order.
 
     The choice space is normalized: rule2/rule3 subsets range over the free
@@ -402,7 +389,6 @@ def enumerate_d3_blueprints(
     v1_free = list(range(2, a))
     v2_free = list(range(a + 2, a + b))
     n_free = len(v1_free) + len(v2_free)
-    emitted = 0
     for r2_bits in range(1 << len(v2_free)):
         rule2 = frozenset(v for i, v in enumerate(v2_free) if r2_bits >> i & 1)
         for r3_bits in range(1 << len(v1_free)):
@@ -414,6 +400,3 @@ def enumerate_d3_blueprints(
                 bp = D3Blueprint(a, b, rule2, rule3, assign)
                 if validate_blueprint(bp).ok:
                     yield bp
-                    emitted += 1
-                    if limit is not None and emitted >= limit:
-                        return

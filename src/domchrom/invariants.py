@@ -179,36 +179,43 @@ def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
     return True
 
 
+def _dominators(adj: tuple[int, ...], masks: Iterable[int]) -> list[int]:
+    """For each non-empty class mask, the mask of the vertices that dominate
+    the class: those adjacent to all of its members, and v itself when the
+    class is exactly {v}."""
+    dominators = []
+    for m in masks:
+        common = -1
+        for v in iter_bits(m):
+            common &= adj[v]
+        dominators.append(common | m if m.bit_count() == 1 else common)
+    return dominators
+
+
 def dominates_class(g: Graph, v: int, coloring: Coloring, i: int) -> bool:
     """True iff v is adjacent to all of class i, or class i is exactly {v}."""
     if not (0 <= v < g.n):
         raise GraphError(f"vertex {v} out of range")
     if not (0 <= i < coloring.k):
         raise GraphError(f"class index {i} out of range for k={coloring.k}")
-    m = mask_of(coloring.classes[i])
-    if m == 1 << v:
-        return True
-    return m & ~g.adj[v] == 0
+    return _dominators(g.adj, (mask_of(coloring.classes[i]),))[0] >> v & 1 == 1
 
 
 def is_dominator_coloring(g: Graph, coloring: Coloring) -> bool:
     if not is_proper_coloring(g, coloring):
         return False
-    masks = coloring.masks()
-    for v in range(g.n):
-        bit = 1 << v
-        if not any(m == bit or m & ~g.adj[v] == 0 for m in masks):
-            return False
-    return True
+    covered = 0
+    for d in _dominators(g.adj, coloring.masks()):
+        covered |= d
+    return covered == (1 << g.n) - 1
 
 
 def is_dominated_coloring(g: Graph, coloring: Coloring) -> bool:
+    """Every class has a dominator outside it (no own-singleton clause)."""
     if not is_proper_coloring(g, coloring):
         return False
-    for m in coloring.masks():
-        if not any(m & ~g.adj[v] == 0 for v in range(g.n)):
-            return False
-    return True
+    masks = coloring.masks()
+    return all(d & ~m for d, m in zip(_dominators(g.adj, masks), masks))
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,11 @@ class ScanSummary:
                 type(v) is not kind for name, kind in _DK_TABLES for v in tables[name].values()
             ):
                 raise TypeError("total and the dk tables must hold integers or graph6 strings")
+            if type(state["skipped"]) is not list or any(
+                type(entry) is not list or len(entry) != 2 or any(type(x) is not int for x in entry)
+                for entry in summary.skipped
+            ):
+                raise TypeError("skipped must be a list of [index, line] integer pairs")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ScanError(f"checkpoint summary state is malformed: {exc!r}") from None
         return summary
@@ -269,6 +274,11 @@ def scan_stream(
         resume_from = cp.last_index
         records_bytes = cp.records_bytes
         summary = ScanSummary.from_state(source_id, checks_t, cp.summary_state)
+        if summary.total + len(summary.skipped) != resume_from + 1:
+            raise ScanError(
+                f"checkpoint covers {resume_from + 1} lines, but its summary counts "
+                f"{summary.total} records and {len(summary.skipped)} skipped lines"
+            )
 
     out_file = None
     if out_path is not None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterator
 
 from .constructions import (
@@ -23,7 +24,7 @@ from .constructions import (
     validate_blueprint,
 )
 from .graphs import Graph, GraphError, bipartition, is_connected, iter_bits
-from .invariants import Coloring, InvariantReport, _report, is_proper_coloring
+from .invariants import Coloring, InvariantReport, _dominators, _report, is_proper_coloring
 
 
 class DeadlineExceeded(RuntimeError):
@@ -58,33 +59,33 @@ def find_chain(g: Graph, coloring: Coloring) -> ChainWitness | None:
     if k < 3:
         raise GraphError(f"chain requires at least 3 classes, got k={k}")
     masks = coloring.masks()
-    # least vertex of class i fully adjacent to class j, per ordered pair
-    least_dominator: dict[tuple[int, int], int] = {}
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            for v in sorted(iter_bits(masks[i])):
-                if masks[j] & ~g.adj[v] == 0:
-                    least_dominator[(i, j)] = v
-                    break
-    for i in range(k):
-        for j in range(k):
-            if j == i or (i, j) not in least_dominator:
-                continue
-            for l in range(k):
-                if l in (i, j):
-                    continue
-                if (j, l) in least_dominator and (l, i) in least_dominator:
-                    return ChainWitness(
-                        (i, j, l),
-                        (
-                            least_dominator[(i, j)],
-                            least_dominator[(j, l)],
-                            least_dominator[(l, i)],
-                        ),
-                    )
+    dominators = _dominators(g.adj, masks)
+    for i, j, l in permutations(range(k), 3):
+        # the members of V_i that dominate V_j, of V_j that dominate V_l,
+        # and of V_l that dominate V_i; each link's least member is its x
+        links = (masks[i] & dominators[j], masks[j] & dominators[l], masks[l] & dominators[i])
+        if all(links):
+            return ChainWitness((i, j, l), tuple((m & -m).bit_length() - 1 for m in links))
     return None
+
+
+def _theorem1_tally(
+    g: Graph, index: int, coloring: Coloring
+) -> tuple[tuple[tuple[int, int], ...], list[tuple[int, str, int]]]:
+    """Per vertex, its (cross-class dominations, own-singleton) counts, and the
+    coloring's Theorem-1 counterexamples: vertices in order, then classes."""
+    masks = coloring.masks()
+    dominators = _dominators(g.adj, masks)
+    counts = []
+    failures = []
+    for v in range(g.n):
+        own = 1 if 1 << v in masks else 0
+        total = sum(d >> v & 1 for d in dominators)
+        counts.append((total - own, own))
+        if total != 1:
+            failures.append((index, f"vertex-dominates-{total}", v))
+    failures += [(index, "class-not-dominated", c) for c, d in enumerate(dominators) if not d]
+    return tuple(counts), failures
 
 
 def check_theorem1(g: Graph) -> Theorem1Report:
@@ -102,36 +103,16 @@ def check_theorem1(g: Graph) -> Theorem1Report:
             "not a D(k) graph: "
             f"gamma={report.gamma}, chi={report.chi}, chi_d={report.chi_d}"
         )
-    k = report.chi_d
     counterexamples: list[tuple[int, str, int]] = []
     all_counts: list[tuple[tuple[int, int], ...]] = []
-    checked = 0
     for index, coloring in enumerate(colorings):
-        checked += 1
-        masks = coloring.masks()
-        assignment = coloring.assignment(g.n)
-        counts = []
-        for v in range(g.n):
-            cross = sum(
-                1
-                for c in range(k)
-                if c != assignment[v] and masks[c] & ~g.adj[v] == 0
-            )
-            own = 1 if masks[assignment[v]] == 1 << v else 0
-            counts.append((cross, own))
-            if cross + own != 1:
-                counterexamples.append((index, f"vertex-dominates-{cross + own}", v))
-        for c in range(k):
-            dominated = masks[c].bit_count() == 1 or any(
-                masks[c] & ~g.adj[v] == 0 for v in range(g.n)
-            )
-            if not dominated:
-                counterexamples.append((index, "class-not-dominated", c))
-        all_counts.append(tuple(counts))
+        counts, failures = _theorem1_tally(g, index, coloring)
+        all_counts.append(counts)
+        counterexamples += failures
     class_failures = any(kind == "class-not-dominated" for _, kind, _ in counterexamples)
     vertex_failures = any(kind.startswith("vertex-") for _, kind, _ in counterexamples)
     return Theorem1Report(
-        colorings_checked=checked,
+        colorings_checked=len(all_counts),
         all_classes_dominated=not class_failures,
         every_vertex_dominates_exactly_one=not vertex_failures,
         counterexamples=tuple(counterexamples),
@@ -223,10 +204,11 @@ def is_in_class_d3(g: Graph, deadline_secs: float | None = None) -> D3Blueprint 
 
 def _match_roles(g: Graph, x3: int, v1_mask: int, v2_mask: int) -> D3Blueprint | None:
     adj = g.adj
-    y1_candidates = [v for v in iter_bits(v2_mask) if v1_mask & ~adj[v] == 0]
+    dominators = _dominators(adj, (v1_mask, v2_mask))
+    y1_candidates = list(iter_bits(v2_mask & dominators[0]))
     if not y1_candidates:
         return None
-    y2_candidates = [v for v in iter_bits(v1_mask) if v2_mask & ~adj[v] == 0]
+    y2_candidates = list(iter_bits(v1_mask & dominators[1]))
     if not y2_candidates:
         return None
     x1_candidates = [v for v in iter_bits(v1_mask & adj[x3])]
@@ -241,17 +223,19 @@ def _match_roles(g: Graph, x3: int, v1_mask: int, v2_mask: int) -> D3Blueprint |
                 for y2 in y2_candidates:
                     if y2 == x1 or adj[x3] >> y2 & 1:
                         continue
-                    bp = _read_blueprint(g, x3, v1_mask, v2_mask, x1, y1, y2, y3)
+                    bp = _read_blueprint(g, x3, v1_mask, v2_mask, dominators, x1, y1, y2, y3)
                     if bp is not None:
                         return bp
     return None
 
 
 def _read_blueprint(
-    g: Graph, x3: int, v1_mask: int, v2_mask: int, x1: int, y1: int, y2: int, y3: int
+    g: Graph, x3: int, v1_mask: int, v2_mask: int, dominators: list[int],
+    x1: int, y1: int, y2: int, y3: int,
 ) -> D3Blueprint | None:
     """The blueprint the roles spell out, or None unless its edge rules
-    rebuild G under the role relabelling and it passes the class rules."""
+    rebuild G under the role relabelling and it passes the class rules.
+    dominators holds the dominator masks of V1 and V2."""
     adj = g.adj
     v1_free = list(iter_bits(v1_mask & ~(1 << x1 | 1 << y2)))
     v2_free = list(iter_bits(v2_mask & ~(1 << y1 | 1 << y3)))
@@ -262,9 +246,9 @@ def _read_blueprint(
     # rule 4 read off: a free vertex that dominates the opposite class is
     # OPPOSITE, any other is joined to x3; the rebuild rejects a misreading
     rule4 = {}
-    for first, free, opposite in ((2, v1_free, v2_mask), (a + 2, v2_free, v1_mask)):
+    for first, free, opposite in ((2, v1_free, dominators[1]), (a + 2, v2_free, dominators[0])):
         for i, v in enumerate(free, first):
-            rule4[i] = OPPOSITE if opposite & ~adj[v] == 0 else SINGLETON
+            rule4[i] = OPPOSITE if opposite >> v & 1 else SINGLETON
     rule2 = frozenset(i for i in range(a + 2, a + b) if adj[x1] >> order[i] & 1)
     rule3 = frozenset(i for i in range(2, a) if adj[y3] >> order[i] & 1)
     bp = D3Blueprint(a, b, rule2, rule3, rule4)

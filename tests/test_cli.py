@@ -9,7 +9,7 @@ import pytest
 
 from domchrom import scan as scanmod
 from domchrom.cli import main
-from domchrom.constructions import DOddSpec, build_d_odd
+from domchrom.constructions import DOddSpec, build_d3, build_d_odd, enumerate_d3_blueprints
 from domchrom.enumeration import are_isomorphic, enumerate_connected
 from domchrom.graph6 import parse_graph6, to_graph6
 from domchrom.graphs import complete_bipartite
@@ -53,6 +53,18 @@ def test_construct_kpq_and_d3(capsys):
     # no valid blueprint at (3, 3)
     code, _out, err = run_cli(capsys, ["construct", "d3", "--a", "3", "--b", "3"])
     assert code == 2 and "no valid blueprint" in err
+
+
+def test_construct_d3_index_picks_the_blueprint_in_enumeration_order(capsys):
+    pool = list(enumerate_d3_blueprints(3, 4))
+    argv = ["construct", "d3", "--a", "3", "--b", "4", "--index"]
+    for index in (0, len(pool) - 1):
+        code, out, _ = run_cli(capsys, argv + [str(index)])
+        assert code == 0 and out.strip() == to_graph6(build_d3(pool[index])[0])
+    for index in (-1, len(pool)):
+        code, out, err = run_cli(capsys, argv + [str(index)])
+        assert code == 2 and out == ""
+        assert err == f"error: no valid blueprint at index {index} for sizes (3, 4)\n"
 
 
 def test_classify_k22(capsys, monkeypatch):
@@ -249,6 +261,15 @@ def _corrupt_summary_state(text):
     return json.dumps(dict(json.loads(text), summary_state={"total": 3}))
 
 
+def _corrupt_skipped(skipped):
+    def corrupt(text):
+        payload = json.loads(text)
+        payload["summary_state"]["skipped"] = skipped
+        return json.dumps(payload)
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -257,6 +278,11 @@ def _corrupt_summary_state(text):
         (_corrupt_field_type, "last_index must be of type int"),
         (_corrupt_negative_index, "is negative"),
         (_corrupt_summary_state, "summary state is malformed"),
+        (_corrupt_skipped("xyz"), "[index, line] integer pairs"),
+        (_corrupt_skipped([[0, 1, 2]]), "[index, line] integer pairs"),
+        (_corrupt_skipped([[0, "1"]]), "[index, line] integer pairs"),
+        (_corrupt_skipped([[0, True]]), "[index, line] integer pairs"),
+        (_corrupt_skipped([[0, 1]]), "checkpoint covers 21 lines"),
     ],
 )
 def test_scan_refuses_a_malformed_checkpoint(capsys, tmp_path, corrupt, message):

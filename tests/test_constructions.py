@@ -1,4 +1,5 @@
-from itertools import product
+from itertools import islice, product
+from types import MappingProxyType
 
 import pytest
 
@@ -181,18 +182,40 @@ def test_enumerate_blueprints_counts_and_oracle():
         assert set(mine) == set(oracle)
         assert len(set(mine)) == len(mine)  # distinct
     with pytest.raises(GraphError):
-        next(iter(enumerate_d3_blueprints(2, 3, limit=10)))
+        next(enumerate_d3_blueprints(2, 3))
 
 
 def test_enumerate_blueprints_limit_and_determinism():
-    first = list(enumerate_d3_blueprints(3, 4, limit=3))
-    again = list(enumerate_d3_blueprints(3, 4, limit=3))
+    first = list(islice(enumerate_d3_blueprints(3, 4), 3))
+    again = list(islice(enumerate_d3_blueprints(3, 4), 3))
     assert first == again and len(first) == 3
     assert all(validate_blueprint(bp).ok for bp in first)
 
 
+def test_blueprint_equality_and_hash_follow_the_normalized_fields():
+    assign = {2: OPPOSITE, 3: SINGLETON, 6: OPPOSITE, 7: OPPOSITE}
+    base = D3Blueprint(4, 4, frozenset({6}), frozenset({2}), assign)
+    for same in (
+        D3Blueprint(4, 4, {6}, {2}, dict(reversed(assign.items()))),
+        D3Blueprint(4, 4, [6], (2,), MappingProxyType(assign)),
+    ):
+        assert same == base and hash(same) == hash(base)
+        assert type(same.rule2_set) is frozenset and type(same.rule4_assign) is dict
+    copies = {D3Blueprint(4, 4, {6}, {2}, m) for m in (assign, MappingProxyType(assign))}
+    assert copies == {base}
+    for other in (
+        D3Blueprint(5, 4, base.rule2_set, base.rule3_set, assign),
+        D3Blueprint(4, 5, base.rule2_set, base.rule3_set, assign),
+        D3Blueprint(4, 4, frozenset(), base.rule3_set, assign),
+        D3Blueprint(4, 4, base.rule2_set, frozenset(), assign),
+        D3Blueprint(4, 4, base.rule2_set, base.rule3_set, {**assign, 7: SINGLETON}),
+    ):
+        assert other != base
+    assert base != (4, 4) and base.__eq__((4, 4)) is NotImplemented
+
+
 def test_build_d3_outputs_classify_and_contain_5_cycle():
-    for bp in enumerate_d3_blueprints(3, 4, limit=4):
+    for bp in islice(enumerate_d3_blueprints(3, 4), 4):
         g, lab = build_d3(bp)
         assert g.n == bp.a + bp.b + 1
         assert compute_report(g).dk == 3

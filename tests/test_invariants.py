@@ -103,6 +103,18 @@ def test_dominator_chromatic_examples():
     assert witness == expected
 
 
+def test_dominator_chromatic_number_of_paths_and_cycles_has_closed_forms():
+    # Chellali & Maffray, "Dominator colorings in some classes of graphs" (2012)
+    for n in range(2, 13):
+        path = from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
+        expected = -(-n // 3) + (1 if n in (2, 3, 4, 5, 7) else 2)
+        assert dominator_chromatic_number(path)[0] == expected, f"P{n}"
+    for n in range(3, 13):
+        cycle = from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
+        expected = {4: 2, 5: 3}.get(n, -(-n // 3) + 2)
+        assert dominator_chromatic_number(cycle)[0] == expected, f"C{n}"
+
+
 def test_dominated_chromatic_examples():
     k23, _ = complete_bipartite(2, 3)
     assert dominated_chromatic_number(k23)[0] == 2 == naive.dominated_chromatic_number(k23)

@@ -202,7 +202,7 @@ def test_d3_members_are_nonplanar_with_k33_witnesses():
     godd, _ = build_d_odd(DOddSpec(3, 9))
     verdict = is_planar(godd)
     assert not verdict.planar and verify_kuratowski(godd, verdict.witness)
-    for bp in enumerate_d3_blueprints(3, 4, limit=2):
+    for bp in itertools.islice(enumerate_d3_blueprints(3, 4), 2):
         g, _ = build_d3(bp)
         verdict = is_planar(g)
         assert not verdict.planar

@@ -1,4 +1,5 @@
 import random
+from itertools import islice, permutations
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,11 @@ from domchrom.invariants import Coloring, is_total_dominating_set
 from oracles import (
     blocks_are_independent,
     set_partitions,
+    vertex_dominates_block,
 )
 from domchrom.structure import (
     DeadlineExceeded,
+    _theorem1_tally,
     check_theorem1,
     find_chain,
     find_total_dominating_transversal,
@@ -50,6 +53,34 @@ def test_find_chain_requires_three_classes():
         find_chain(c4, Coloring.from_classes([[0, 2], [1, 3]]))
     with pytest.raises(GraphError, match="proper"):
         find_chain(c4, Coloring.from_classes([[0, 1], [2], [3]]))
+
+
+def test_find_chain_matches_the_definition_on_every_proper_coloring_through_n6():
+    found = 0
+    for g in (g for n in range(3, 7) for g in enumerate_connected(n)):
+        for blocks in set_partitions(g.n):
+            if len(blocks) < 3 or not blocks_are_independent(g, blocks):
+                continue
+            coloring = Coloring.from_masks(blocks)
+            masks = coloring.masks()
+            # the least x of class i that dominates class j, per ordered pair
+            least = {}
+            for i, j in permutations(range(coloring.k), 2):
+                xs = [v for v in coloring.classes[i] if vertex_dominates_block(g, v, masks[j])]
+                if xs:
+                    least[i, j] = min(xs)
+            expected = next(
+                (
+                    ((i, j, l), (least[i, j], least[j, l], least[l, i]))
+                    for i, j, l in permutations(range(coloring.k), 3)
+                    if {(i, j), (j, l), (l, i)} <= least.keys()
+                ),
+                None,
+            )
+            witness = find_chain(g, coloring)
+            assert (witness and (witness.classes, witness.vertices)) == expected
+            found += expected is not None
+    assert found > 0
 
 
 def test_find_chain_none_on_d4_construction():
@@ -83,6 +114,39 @@ def test_check_theorem1_records_auditable_counts():
     for counts in result.domination_counts:
         assert counts[x3] == (0, 1)
         assert all(cross + own == 1 for cross, own in counts)
+
+
+def test_theorem1_tally_reports_counterexamples_in_order():
+    # every proper coloring of P5 and C6, most of them far from optimal, so
+    # that both kinds of counterexample occur
+    p5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    c6 = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+    kinds = set()
+    for g in (p5, c6):
+        for blocks in set_partitions(g.n):
+            if not blocks_are_independent(g, blocks):
+                continue
+            coloring = Coloring.from_masks(blocks)
+            masks = coloring.masks()
+            counts = []
+            expected = []
+            for v in range(g.n):
+                own = 1 if masks[coloring.class_of(v)] == 1 << v else 0
+                cross = sum(
+                    vertex_dominates_block(g, v, m) for c, m in enumerate(masks)
+                    if c != coloring.class_of(v)
+                )
+                counts.append((cross, own))
+                if cross + own != 1:
+                    expected.append((5, f"vertex-dominates-{cross + own}", v))
+            for c, m in enumerate(masks):
+                if not any(vertex_dominates_block(g, v, m) for v in range(g.n)):
+                    expected.append((5, "class-not-dominated", c))
+            assert _theorem1_tally(g, 5, coloring) == (tuple(counts), expected)
+            kinds.update(kind for _, kind, _ in expected)
+    assert kinds == {
+        "vertex-dominates-0", "vertex-dominates-2", "vertex-dominates-3", "class-not-dominated"
+    }
 
 
 def test_check_theorem1_rejects_non_dk():
@@ -151,7 +215,7 @@ def test_transversal_requires_proper_coloring():
 
 def test_membership_round_trip_through_the_class():
     for a, b in [(3, 4), (4, 3), (4, 4)]:
-        for bp in enumerate_d3_blueprints(a, b, limit=2):
+        for bp in islice(enumerate_d3_blueprints(a, b), 2):
             g, _ = build_d3(bp)
             extracted = is_in_class_d3(g)
             assert extracted is not None
