@@ -11,9 +11,11 @@ are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
 from typing import Iterator, Mapping, Sequence
 
-from .graphs import Graph, GraphError, VertexLabeling, from_edge_list
+from .graphs import Graph, GraphError, VertexLabeling, from_edge_list, iter_bits
+from .invariants import _dominators
 
 OPPOSITE = "opposite"
 SINGLETON = "v3"
@@ -92,22 +94,11 @@ def build_d_odd(spec: DOddSpec) -> tuple[Graph, VertexLabeling]:
     edges = []
     for i in range(1, (k - 1) // 2 + 1):
         lo, hi = 2 * i - 1, 2 * i
-        for a in (x[hi], y[hi], z[hi]):
-            for b in (x[lo], y[lo], z[lo]):
-                edges.append((a, b))
-        edges.append((w[lo], y[hi]))
-        edges.append((w[lo], z[hi]))
-        edges.append((w[hi], y[lo]))
-        edges.append((w[hi], z[lo]))
-    clique = [x[i] for i in range(1, k + 1)]
-    for a_i in range(len(clique)):
-        for b_i in range(a_i + 1, len(clique)):
-            edges.append((clique[a_i], clique[b_i]))
-    for vert in list(w.values()) + u:
-        edges.append((x[k], vert))
-    for uv in u:
-        edges.append((uv, y[2]))
-        edges.append((uv, z[2]))
+        edges += product((x[hi], y[hi], z[hi]), (x[lo], y[lo], z[lo]))
+        edges += [(w[lo], y[hi]), (w[lo], z[hi]), (w[hi], y[lo]), (w[hi], z[lo])]
+    edges += combinations([x[i] for i in range(1, k + 1)], 2)
+    edges += [(x[k], v) for v in [*w.values(), *u]]
+    edges += product(u, (y[2], z[2]))
 
     g = from_edge_list(n, edges)
 
@@ -152,13 +143,9 @@ def build_d_even(spec: DEvenSpec) -> tuple[Graph, VertexLabeling]:
 
     edges = []
     for i in range(1, k // 2 + 1):
-        for a in classes[2 * i]:
-            for b in classes[2 * i - 1]:
-                edges.append((a, b))
+        edges += product(classes[2 * i], classes[2 * i - 1])
     xs = [roles[f"x{i}"] for i in range(1, k + 1)]
-    for a_i in range(k):
-        for b_i in range(a_i + 1, k):
-            edges.append((xs[a_i], xs[b_i]))
+    edges += combinations(xs, 2)
 
     g = from_edge_list(n, edges)
     groups: dict[str, object] = {
@@ -285,69 +272,55 @@ def _blueprint_graph(bp: D3Blueprint, labels: Sequence[int] | None = None) -> Gr
 
 def _check_shape(bp: D3Blueprint) -> None:
     """Reject structurally malformed blueprints (bad indices), not rule breaks."""
-    v1_free = set(bp.v1_free())
-    v2_free = set(bp.v2_free())
     if not bp.rule2_set <= set(bp.v2_vertices()) - {bp.y3}:
         raise GraphError("rule2_set must be a subset of V2 - {y3}")
     if not bp.rule3_set <= set(bp.v1_vertices()) - {bp.x1}:
         raise GraphError("rule3_set must be a subset of V1 - {x1}")
-    if set(bp.rule4_assign) != v1_free | v2_free:
-        raise GraphError(
-            "rule4_assign must cover exactly (V1 - {x1, y2}) and (V2 - {y1, y3})"
-        )
+    if set(bp.rule4_assign) != {*bp.v1_free(), *bp.v2_free()}:
+        raise GraphError("rule4_assign must cover exactly (V1 - {x1, y2}) and (V2 - {y1, y3})")
     for v, target in bp.rule4_assign.items():
         if target not in (OPPOSITE, SINGLETON):
             raise GraphError(f"rule4_assign[{v}] must be {OPPOSITE!r} or {SINGLETON!r}")
 
 
+def _rule_violations(
+    g: Graph, v1_mask: int, v2_mask: int, x3: int, free1: int, free2: int
+) -> list[tuple[str, tuple | None]]:
+    """The class rules G breaks, read off the dominator masks of V1 and V2;
+    free1 and free2 mask the rule-4 vertices of V1 and V2. Rule 4 joins each
+    to the opposite class or to x3, so only dominating both can fail."""
+    adj = g.adj
+    dominators = _dominators(adj, (v1_mask, v2_mask))
+    violations: list[tuple[str, tuple | None]] = []
+    # rule 4, exclusivity: no free vertex dominates the opposite class and x3
+    for free, opposite, name in ((free1, dominators[1], "V2"), (free2, dominators[0], "V1")):
+        for v in iter_bits(free & opposite & adj[x3]):
+            violations.append((f"rule4: dominates both {name} and V3", (v,)))
+    # rule 4, tail: x3 keeps at least two non-neighbors in each of V1, V2
+    for mask, name in ((v1_mask, "V1"), (v2_mask, "V2")):
+        if (mask & ~adj[x3]).bit_count() < 2:
+            violations.append((f"rule4-tail: x3 needs >= 2 non-neighbors in {name}", None))
+    # rule 5: no cross pair that is each other's only non-neighbor
+    for v in iter_bits(v1_mask):
+        non_nbrs = v2_mask & ~adj[v]
+        u = non_nbrs.bit_length() - 1
+        if non_nbrs.bit_count() == 1 and v1_mask & ~adj[u] == 1 << v:
+            violations.append(("rule5: mutually unique non-neighbors", (v, u)))
+    return violations
+
+
 def validate_blueprint(bp: D3Blueprint) -> BlueprintVerdict:
     """Check the built graph against the class rules; list violations."""
-    violations: list[tuple[str, tuple | None]] = []
-    if bp.a < 3:
-        violations.append(("size: a >= 3 required", (bp.a,)))
-    if bp.b < 3:
-        violations.append(("size: b >= 3 required", (bp.b,)))
+    violations = [(f"size: {name} >= 3 required", (size,))
+                  for name, size in (("a", bp.a), ("b", bp.b)) if size < 3]
     if violations:
         return BlueprintVerdict(False, tuple(violations))
     _check_shape(bp)
-    g = _blueprint_graph(bp)
-    v1_mask = sum(1 << v for v in bp.v1_vertices())
-    v2_mask = sum(1 << v for v in bp.v2_vertices())
-    x3 = bp.x3
-
-    # rule 4, exclusivity: each assigned vertex dominates exactly one of the
-    # opposite class and {x3} in the finished graph.
-    for v in bp.v1_free():
-        dominates_v2 = v2_mask & ~g.adj[v] == 0
-        meets_x3 = bool(g.adj[v] >> x3 & 1)
-        if dominates_v2 and meets_x3:
-            violations.append(("rule4: dominates both V2 and V3", (v,)))
-        if not dominates_v2 and not meets_x3:
-            violations.append(("rule4: dominates neither V2 nor V3", (v,)))
-    for v in bp.v2_free():
-        dominates_v1 = v1_mask & ~g.adj[v] == 0
-        meets_x3 = bool(g.adj[v] >> x3 & 1)
-        if dominates_v1 and meets_x3:
-            violations.append(("rule4: dominates both V1 and V3", (v,)))
-        if not dominates_v1 and not meets_x3:
-            violations.append(("rule4: dominates neither V1 nor V3", (v,)))
-
-    # rule 4, tail: x3 keeps at least two non-neighbors in each of V1, V2.
-    if (v1_mask & ~g.adj[x3]).bit_count() < 2:
-        violations.append(("rule4-tail: x3 needs >= 2 non-neighbors in V1", None))
-    if (v2_mask & ~g.adj[x3]).bit_count() < 2:
-        violations.append(("rule4-tail: x3 needs >= 2 non-neighbors in V2", None))
-
-    # rule 5: no mutually-unique non-adjacent cross pair.
-    for v in bp.v1_vertices():
-        non_nbrs = v2_mask & ~g.adj[v]
-        for uvert in bp.v2_vertices():
-            if g.adj[v] >> uvert & 1:
-                continue
-            x_other = non_nbrs & ~(1 << uvert)
-            y_other = v1_mask & ~g.adj[uvert] & ~(1 << v)
-            if x_other == 0 and y_other == 0:
-                violations.append(("rule5: mutually unique non-neighbors", (v, uvert)))
+    v1_mask = (1 << bp.a) - 1
+    v2_mask = (1 << bp.x3) - 1 & ~v1_mask
+    # the free vertices: V1 less x1 and y2, V2 less y1 and y3
+    free1, free2 = v1_mask & ~0b11, v2_mask & ~(0b11 << bp.a)
+    violations = _rule_violations(_blueprint_graph(bp), v1_mask, v2_mask, bp.x3, free1, free2)
     return BlueprintVerdict(not violations, tuple(violations))
 
 
@@ -394,9 +367,8 @@ def enumerate_d3_blueprints(a: int, b: int) -> Iterator[D3Blueprint]:
         for r3_bits in range(1 << len(v1_free)):
             rule3 = frozenset(v for i, v in enumerate(v1_free) if r3_bits >> i & 1)
             for assign_bits in range(1 << n_free):
-                assign = {}
-                for i, v in enumerate(v1_free + v2_free):
-                    assign[v] = SINGLETON if assign_bits >> i & 1 else OPPOSITE
+                assign = {v: SINGLETON if assign_bits >> i & 1 else OPPOSITE
+                          for i, v in enumerate(v1_free + v2_free)}
                 bp = D3Blueprint(a, b, rule2, rule3, assign)
                 if validate_blueprint(bp).ok:
                     yield bp

@@ -143,8 +143,18 @@ class InvariantReport:
 # Predicates
 
 
+def _vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
+    """The mask of the vertices; GraphError unless each is a vertex of G."""
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} out of range for n={g.n}")
+        mask |= 1 << v
+    return mask
+
+
 def is_dominating_set(g: Graph, vertices: Iterable[int]) -> bool:
-    mask = mask_of(vertices)
+    mask = _vertex_mask(g, vertices)
     covered = mask
     for v in iter_bits(mask):
         covered |= g.adj[v]
@@ -152,7 +162,7 @@ def is_dominating_set(g: Graph, vertices: Iterable[int]) -> bool:
 
 
 def is_total_dominating_set(g: Graph, vertices: Iterable[int]) -> bool:
-    mask = mask_of(vertices)
+    mask = _vertex_mask(g, vertices)
     covered = 0
     for v in iter_bits(mask):
         covered |= g.adj[v]
@@ -162,7 +172,7 @@ def is_total_dominating_set(g: Graph, vertices: Iterable[int]) -> bool:
 def is_partition(g: Graph, coloring: Coloring) -> bool:
     total = 0
     for cls in coloring.classes:
-        m = mask_of(cls)
+        m = _vertex_mask(g, cls)
         if m & total:
             return False
         total |= m
@@ -194,11 +204,10 @@ def _dominators(adj: tuple[int, ...], masks: Iterable[int]) -> list[int]:
 
 def dominates_class(g: Graph, v: int, coloring: Coloring, i: int) -> bool:
     """True iff v is adjacent to all of class i, or class i is exactly {v}."""
-    if not (0 <= v < g.n):
-        raise GraphError(f"vertex {v} out of range")
+    bit = _vertex_mask(g, (v,))
     if not (0 <= i < coloring.k):
         raise GraphError(f"class index {i} out of range for k={coloring.k}")
-    return _dominators(g.adj, (mask_of(coloring.classes[i]),))[0] >> v & 1 == 1
+    return _dominators(g.adj, (_vertex_mask(g, coloring.classes[i]),))[0] & bit != 0
 
 
 def is_dominator_coloring(g: Graph, coloring: Coloring) -> bool:

@@ -103,7 +103,11 @@ class ScanSummary:
         return state
 
     @staticmethod
-    def from_state(source_id: str, checks: tuple[str, ...], state: dict) -> "ScanSummary":
+    def from_state(
+        source_id: str, checks: tuple[str, ...], state: dict, last_index: int
+    ) -> "ScanSummary":
+        """The summary a checkpoint at last_index holds; ScanError unless it
+        is one `to_state` could have written there."""
         try:
             tables = {name: {int(k): v for k, v in state[name].items()} for name, _ in _DK_TABLES}
             summary = ScanSummary(
@@ -120,6 +124,22 @@ class ScanSummary:
                 raise TypeError("skipped must be a list of [index, line] integer pairs")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ScanError(f"checkpoint summary state is malformed: {exc!r}") from None
+        indices = [index for index, _ in summary.skipped]
+        lines = [line for _, line in summary.skipped]
+        counts = summary.dk_counts.values()
+        if summary.total + len(indices) != last_index + 1:
+            raise ScanError(
+                f"checkpoint covers {last_index + 1} lines, but its summary counts "
+                f"{summary.total} records and {len(indices)} skipped lines"
+            )
+        if not all(i < j for i, j in zip([-1, *indices], [*indices, last_index + 1])):
+            raise ScanError(f"checkpoint's skipped indices must rise strictly within 0..{last_index}")
+        if not all(i < j for i, j in zip([0, *lines], lines)):
+            raise ScanError("checkpoint's skipped line numbers must be >= 1 and rise strictly")
+        if not summary.dk_counts.keys() == summary.dk_min_n.keys() == summary.dk_first_graph6.keys():
+            raise ScanError("checkpoint's dk tables must share one set of keys")
+        if min(counts, default=1) < 1 or sum(counts) > summary.total:
+            raise ScanError(f"checkpoint's dk counts must be >= 1 and sum to at most {summary.total}")
         return summary
 
 
@@ -218,16 +238,19 @@ def _iter_results(items, checks: tuple[str, ...], jobs: int):
 
 
 def _prefix_sha256(path: Path, size: int):
-    """Running sha256 of the first `size` bytes of a file, read in chunks."""
+    """Running sha256 of the first `size` bytes of a file, read in chunks,
+    and the number of lines they end."""
     digest = hashlib.sha256()
+    lines = 0
     with open(path, "rb") as f:
         while size > 0:
             chunk = f.read(min(size, 1 << 20))
             if not chunk:
                 break
             digest.update(chunk)
+            lines += chunk.count(b"\n")
             size -= len(chunk)
-    return digest
+    return digest, lines
 
 
 def scan_stream(
@@ -273,12 +296,7 @@ def scan_stream(
             )
         resume_from = cp.last_index
         records_bytes = cp.records_bytes
-        summary = ScanSummary.from_state(source_id, checks_t, cp.summary_state)
-        if summary.total + len(summary.skipped) != resume_from + 1:
-            raise ScanError(
-                f"checkpoint covers {resume_from + 1} lines, but its summary counts "
-                f"{summary.total} records and {len(summary.skipped)} skipped lines"
-            )
+        summary = ScanSummary.from_state(source_id, checks_t, cp.summary_state, resume_from)
 
     out_file = None
     if out_path is not None:
@@ -294,11 +312,11 @@ def scan_stream(
                     f"record file {out_path} has {size} bytes, fewer than the "
                     f"{records_bytes} its checkpoint covers"
                 )
-            records_hash = _prefix_sha256(out_path, records_bytes)
-            if records_hash.hexdigest() != cp.records_sha256:
+            records_hash, records = _prefix_sha256(out_path, records_bytes)
+            if records_hash.hexdigest() != cp.records_sha256 or records != summary.total:
                 raise ScanError(
                     f"record file {out_path} differs from the {records_bytes} "
-                    "bytes its checkpoint covers"
+                    f"bytes and {summary.total} records its checkpoint covers"
                 )
             out_file = open(out_path, "r+", encoding="utf-8")
             out_file.truncate(records_bytes)

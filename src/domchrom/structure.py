@@ -3,10 +3,10 @@
 Covers: the two-part optimal-coloring property (every class dominated,
 every vertex dominates exactly one class), total dominating transversals,
 domination chains between color classes, and membership in the rule-based
-three-class family via exhaustive role-assignment search. Membership reads
-a blueprint off each role assignment and accepts it when the blueprint's
-edge rules rebuild the graph and it passes `validate_blueprint`, so the
-class rules live only in constructions.py.
+three-class family. Membership fixes y1 and y2 once per split of G - x3 and
+tries each (x1, y3) pair; it accepts the blueprint read off the roles when
+its edge rules rebuild G and G passes `_rule_violations`, the class-rule
+reader that `validate_blueprint` also calls, in constructions.py.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .constructions import (
     SINGLETON,
     D3Blueprint,
     _blueprint_graph,
-    validate_blueprint,
+    _rule_violations,
 )
 from .graphs import Graph, GraphError, bipartition, is_connected, iter_bits
 from .invariants import Coloring, InvariantReport, _dominators, _report, is_proper_coloring
@@ -203,29 +203,26 @@ def is_in_class_d3(g: Graph, deadline_secs: float | None = None) -> D3Blueprint 
 
 
 def _match_roles(g: Graph, x3: int, v1_mask: int, v2_mask: int) -> D3Blueprint | None:
+    """The first blueprint read off roles on this split: x1 in V1 and y3 in V2
+    meet x3 but not each other; y1 (y2) is the least vertex of V2 (V1) that
+    dominates the other side and misses x3. Any other y1 candidate is a free,
+    rule-4 OPPOSITE vertex of V2, so its neighbourhood is exactly V1, as is
+    y1's; swapping the two is an automorphism keeping every other role, so a
+    read succeeds with one exactly when it does with the other. The same
+    holds for y2: trying every candidate finds nothing the least ones miss."""
     adj = g.adj
     dominators = _dominators(adj, (v1_mask, v2_mask))
-    y1_candidates = list(iter_bits(v2_mask & dominators[0]))
-    if not y1_candidates:
+    y1s = v2_mask & dominators[0] & ~adj[x3]
+    y2s = v1_mask & dominators[1] & ~adj[x3]
+    if not y1s or not y2s:
         return None
-    y2_candidates = list(iter_bits(v1_mask & dominators[1]))
-    if not y2_candidates:
-        return None
-    x1_candidates = [v for v in iter_bits(v1_mask & adj[x3])]
-    y3_candidates = [v for v in iter_bits(v2_mask & adj[x3])]
-    for x1 in x1_candidates:
-        for y3 in y3_candidates:
-            if adj[x1] >> y3 & 1:
-                continue  # x1 must not meet y3
-            for y1 in y1_candidates:
-                if y1 == y3 or adj[x3] >> y1 & 1:
-                    continue
-                for y2 in y2_candidates:
-                    if y2 == x1 or adj[x3] >> y2 & 1:
-                        continue
-                    bp = _read_blueprint(g, x3, v1_mask, v2_mask, dominators, x1, y1, y2, y3)
-                    if bp is not None:
-                        return bp
+    y1 = (y1s & -y1s).bit_length() - 1
+    y2 = (y2s & -y2s).bit_length() - 1
+    for x1 in iter_bits(v1_mask & adj[x3]):
+        for y3 in iter_bits(v2_mask & adj[x3] & ~adj[x1]):
+            bp = _read_blueprint(g, x3, v1_mask, v2_mask, dominators, x1, y1, y2, y3)
+            if bp is not None:
+                return bp
     return None
 
 
@@ -234,24 +231,24 @@ def _read_blueprint(
     x1: int, y1: int, y2: int, y3: int,
 ) -> D3Blueprint | None:
     """The blueprint the roles spell out, or None unless its edge rules
-    rebuild G under the role relabelling and it passes the class rules.
+    rebuild G under the role relabelling and G keeps the class rules.
     dominators holds the dominator masks of V1 and V2."""
     adj = g.adj
-    v1_free = list(iter_bits(v1_mask & ~(1 << x1 | 1 << y2)))
-    v2_free = list(iter_bits(v2_mask & ~(1 << y1 | 1 << y3)))
+    free1 = v1_mask & ~(1 << x1 | 1 << y2)
+    free2 = v2_mask & ~(1 << y1 | 1 << y3)
+    a, b = 2 + free1.bit_count(), 2 + free2.bit_count()
     # order[i] is the vertex of G at canonical blueprint index i
-    order = [x1, y2, *v1_free, y1, y3, *v2_free, x3]
-    a = 2 + len(v1_free)
-    b = 2 + len(v2_free)
-    # rule 4 read off: a free vertex that dominates the opposite class is
-    # OPPOSITE, any other is joined to x3; the rebuild rejects a misreading
-    rule4 = {}
-    for first, free, opposite in ((2, v1_free, dominators[1]), (a + 2, v2_free, dominators[0])):
-        for i, v in enumerate(free, first):
-            rule4[i] = OPPOSITE if opposite >> v & 1 else SINGLETON
+    order = [x1, y2, *iter_bits(free1), y1, y3, *iter_bits(free2), x3]
+    # rule 4 read off: a free vertex that dominates the opposite class
+    # (dominators[1] for V1, dominators[0] for V2) is OPPOSITE, any other is
+    # joined to x3; the rebuild rejects a misreading
+    rule4 = {
+        i: OPPOSITE if dominators[i < a] >> order[i] & 1 else SINGLETON
+        for i in (*range(2, a), *range(a + 2, a + b))
+    }
     rule2 = frozenset(i for i in range(a + 2, a + b) if adj[x1] >> order[i] & 1)
     rule3 = frozenset(i for i in range(2, a) if adj[y3] >> order[i] & 1)
     bp = D3Blueprint(a, b, rule2, rule3, rule4)
-    if _blueprint_graph(bp, order) != g or not validate_blueprint(bp).ok:
+    if _blueprint_graph(bp, order) != g or _rule_violations(g, v1_mask, v2_mask, x3, free1, free2):
         return None
     return bp

@@ -44,6 +44,11 @@ def test_construct_d_odd_golden(capsys, tmp_path):
     assert "graph G {" in dot.read_text()
 
 
+def test_construct_d_even_golden(capsys):
+    code, out, _ = run_cli(capsys, ["construct", "d-even", "--k", "4", "--n", "12"])
+    assert code == 0 and out == "KFzc_??cwF?[\n"
+
+
 def test_construct_kpq_and_d3(capsys):
     code, out, _ = run_cli(capsys, ["construct", "kpq", "--p", "2", "--q", "2"])
     assert code == 0 and parse_graph6(out.strip()).edge_count() == 4
@@ -137,6 +142,10 @@ def test_verify_chain(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["check"] == "chain" and "found" in payload
+    # the paw (a triangle with a pendant) has a chain over its first three classes
+    code, out, _ = run_cli(capsys, ["verify", "CN", "--chain", "3"])
+    assert code == 0
+    assert out == '{"check":"chain","classes":[0,1,2],"found":true,"k":3,"vertices":[1,2,3]}\n'
 
 
 def test_verify_without_flags_is_usage_error(capsys):
@@ -151,6 +160,19 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_bad_graph6_is_usage_error(capsys):
     code, _out, err = run_cli(capsys, ["classify", "!!bad!!"])
     assert code == 2 and "error" in err
+
+
+def test_classify_with_empty_stdin_is_usage_error(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["classify"], stdin_text="", monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err == "error: no graph6 input on stdin\n"
+
+
+def test_scan_of_a_directory_is_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, ["scan", "--source", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read source file {tmp_path}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_cli(capsys, tmp_path):
@@ -261,10 +283,10 @@ def _corrupt_summary_state(text):
     return json.dumps(dict(json.loads(text), summary_state={"total": 3}))
 
 
-def _corrupt_skipped(skipped):
+def _corrupt_state(**fields):
     def corrupt(text):
         payload = json.loads(text)
-        payload["summary_state"]["skipped"] = skipped
+        payload["summary_state"].update(fields)
         return json.dumps(payload)
 
     return corrupt
@@ -278,11 +300,20 @@ def _corrupt_skipped(skipped):
         (_corrupt_field_type, "last_index must be of type int"),
         (_corrupt_negative_index, "is negative"),
         (_corrupt_summary_state, "summary state is malformed"),
-        (_corrupt_skipped("xyz"), "[index, line] integer pairs"),
-        (_corrupt_skipped([[0, 1, 2]]), "[index, line] integer pairs"),
-        (_corrupt_skipped([[0, "1"]]), "[index, line] integer pairs"),
-        (_corrupt_skipped([[0, True]]), "[index, line] integer pairs"),
-        (_corrupt_skipped([[0, 1]]), "checkpoint covers 21 lines"),
+        (_corrupt_state(skipped="xyz"), "[index, line] integer pairs"),
+        (_corrupt_state(skipped=[[0, 1, 2]]), "[index, line] integer pairs"),
+        (_corrupt_state(skipped=[[0, "1"]]), "[index, line] integer pairs"),
+        (_corrupt_state(skipped=[[0, True]]), "[index, line] integer pairs"),
+        (_corrupt_state(skipped=[[0, 1]]), "checkpoint covers 21 lines"),
+        # the n = 5 stream has 21 lines, all recorded, one of them a D(2) graph
+        (_corrupt_state(total=20, skipped=[[999, -4]]), "indices must rise strictly within 0..20"),
+        (_corrupt_state(total=19, skipped=[[3, 4], [3, 5]]), "indices must rise strictly"),
+        (_corrupt_state(total=19, skipped=[[3, 4], [5, 4]]), "line numbers must be >= 1"),
+        (_corrupt_state(total=20, skipped=[[0, 0]]), "line numbers must be >= 1"),
+        (_corrupt_state(dk_min_n={}), "dk tables must share one set of keys"),
+        (_corrupt_state(dk_counts={"2": 500}), "sum to at most 21"),
+        (_corrupt_state(dk_counts={"2": 0}), "dk counts must be >= 1"),
+        (_corrupt_state(total=20, skipped=[[20, 21]]), "bytes and 20 records its checkpoint"),
     ],
 )
 def test_scan_refuses_a_malformed_checkpoint(capsys, tmp_path, corrupt, message):

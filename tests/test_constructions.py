@@ -1,3 +1,4 @@
+import hashlib
 from itertools import islice, product
 from types import MappingProxyType
 
@@ -161,28 +162,41 @@ def test_full_rule2_set_is_not_rejected_for_fullness():
     assert found, "some valid blueprint uses the full rule-2 set"
 
 
+def candidate_blueprints(a: int, b: int):
+    """Every blueprint of sizes (a, b) over the normalized choice space."""
+    v1_free = list(range(2, a))
+    v2_free = list(range(a + 2, a + b))
+    for r2_bits in range(1 << len(v2_free)):
+        rule2 = frozenset(v for i, v in enumerate(v2_free) if r2_bits >> i & 1)
+        for r3_bits in range(1 << len(v1_free)):
+            rule3 = frozenset(v for i, v in enumerate(v1_free) if r3_bits >> i & 1)
+            for combo in product((OPPOSITE, SINGLETON), repeat=len(v1_free) + len(v2_free)):
+                yield D3Blueprint(a, b, rule2, rule3, dict(zip(v1_free + v2_free, combo)))
+
+
 def test_enumerate_blueprints_counts_and_oracle():
     assert sum(1 for _ in enumerate_d3_blueprints(3, 3)) == 0
     for a, b in [(3, 4), (4, 3), (4, 4)]:
         mine = list(enumerate_d3_blueprints(a, b))
         # independent brute force over the full choice space
-        v1_free = list(range(2, a))
-        v2_free = list(range(a + 2, a + b))
-        oracle = []
-        for r2_bits in range(1 << len(v2_free)):
-            rule2 = frozenset(v for i, v in enumerate(v2_free) if r2_bits >> i & 1)
-            for r3_bits in range(1 << len(v1_free)):
-                rule3 = frozenset(v for i, v in enumerate(v1_free) if r3_bits >> i & 1)
-                for combo in product((OPPOSITE, SINGLETON), repeat=len(v1_free) + len(v2_free)):
-                    assign = dict(zip(v1_free + v2_free, combo))
-                    bp = D3Blueprint(a, b, rule2, rule3, assign)
-                    if validate_blueprint(bp).ok:
-                        oracle.append(bp)
+        oracle = [bp for bp in candidate_blueprints(a, b) if validate_blueprint(bp).ok]
         assert len(mine) == len(oracle)
         assert set(mine) == set(oracle)
         assert len(set(mine)) == len(mine)  # distinct
     with pytest.raises(GraphError):
         next(enumerate_d3_blueprints(2, 3))
+
+
+def test_validate_blueprint_verdicts_are_pinned_for_sizes_2_to_5():
+    # every candidate with a, b in 2..5: the size, rule-4, tail and rule-5
+    # violations with their witnesses, in order
+    digest = hashlib.sha256()
+    verdicts = [validate_blueprint(bp) for a in range(2, 6) for b in range(2, 6)
+                for bp in candidate_blueprints(a, b)]
+    for verdict in verdicts:
+        digest.update(repr(verdict).encode())
+    assert len(verdicts) == 7225 and sum(not v.ok for v in verdicts) == 3957
+    assert digest.hexdigest() == "b26244254eb4f9f30d6d3317690dbd0dc9113475893a55e33d0dac800ee559ec"
 
 
 def test_enumerate_blueprints_limit_and_determinism():

@@ -56,6 +56,24 @@ def test_dominates_class_index_errors():
         dominates_class(P4, 0, col, 4)
 
 
+@pytest.mark.parametrize("v", [-1, 3, 7])
+def test_predicates_refuse_vertices_outside_the_graph(v):
+    k12, _ = complete_bipartite(1, 2)
+    outside = Coloring.from_classes([[0], [1, 2], [v]])
+    checks = [
+        lambda: dominates_class(k12, 0, Coloring.from_classes([[v]]), 0),
+        lambda: dominates_class(k12, v, Coloring.from_classes([[0], [1, 2]]), 0),
+        lambda: is_dominating_set(k12, [v]),
+        lambda: is_total_dominating_set(k12, [0, v]),
+        lambda: is_proper_coloring(k12, outside),
+        lambda: is_dominator_coloring(k12, outside),
+        lambda: is_dominated_coloring(k12, outside),
+    ]
+    for check in checks:
+        with pytest.raises(GraphError, match=f"vertex {v} out of range for n=3"):
+            check()
+
+
 def test_domination_number_examples():
     for q in (2, 3, 4, 5):
         g, _ = complete_bipartite(2, q)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import islice, permutations
 from pathlib import Path
@@ -15,7 +16,7 @@ from domchrom.constructions import (
 )
 from domchrom.enumeration import are_isomorphic, canonical_form, enumerate_connected
 from domchrom.graph6 import parse_graph6
-from domchrom.graphs import GraphError, complete_bipartite, from_edge_list
+from domchrom.graphs import Graph, GraphError, complete_bipartite, from_edge_list, is_connected
 from domchrom.invariants import Coloring, is_total_dominating_set
 from oracles import (
     blocks_are_independent,
@@ -261,6 +262,32 @@ def test_membership_recognises_relabelled_blueprints():
         extracted = is_in_class_d3(relabelled)
         assert extracted is not None
         assert are_isomorphic(build_d3(extracted)[0], relabelled)
+
+
+def test_membership_of_relabelled_and_toggled_pool_graphs_is_pinned():
+    # every 2nd pool blueprint, relabelled, as is and with one seeded vertex
+    # pair toggled: the blueprint read off each connected graph, or None
+    pool = [bp for a in (3, 4, 5) for b in (3, 4, 5) for bp in enumerate_d3_blueprints(a, b)]
+    rng = random.Random(14)
+    digest = hashlib.sha256()
+    graphs = members = 0
+    for bp in pool[::2]:
+        g, _ = build_d3(bp)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = g.permuted(perm)
+        u, v = rng.sample(range(g.n), 2)
+        rows = list(g.adj)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        for h in (g, Graph(g.n, rows)):
+            if is_connected(h):
+                found = is_in_class_d3(h)
+                digest.update(repr(found).encode())
+                graphs += 1
+                members += found is not None
+    assert (graphs, members) == (3268, 1750)
+    assert digest.hexdigest() == "f0cbbb871e92dc200026adbe99770fb3d4acf20a8198d8815a6a72df47c731c1"
 
 
 def test_membership_rejections():
