@@ -27,14 +27,21 @@ the same value by trying every order.
 
 The built-in generator covers 1 <= n <= 7 by attaching one new vertex to
 every smaller connected graph (each has a non-cut vertex, so this is
-complete), canonicalizing one neighbourhood per orbit of the parent's
-automorphism group. Larger orders stream external graph6 input, which
-`extend_connected` can make one order at a time.
+complete), with one neighbourhood per orbit of the parent's automorphism
+group. When the parents cover every connected class of their order (their
+distinct codes number A001349(n)), a child is kept only if its new vertex
+lies in the orbit of its canonical deletion vertex, the non-cut vertex of
+largest (degree, sum of neighbour degrees), ties going to the one placed
+first in the canonical order (canonical augmentation; McKay,
+"Isomorph-free exhaustive generation", 1998). Most children are settled by
+the keys alone, so only the kept ones and a few ties are canonicalized. On
+fewer classes every child is canonicalized. Larger orders stream external
+graph6 input, which `extend_connected` can make one order at a time.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, GraphError, is_connected, iter_bits
 
@@ -42,6 +49,9 @@ MAX_BUILTIN_ORDER = 7
 
 # connected graphs on 1..7 vertices; used as a completeness self-check
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# the same counts (OEIS A001349) on to 10 vertices, against which
+# extend_connected tells a complete parent set
+_CLASS_COUNTS = {**CONNECTED_COUNTS, 8: 11117, 9: 261080, 10: 11716571}
 
 _CANDIDATE_CAP = 1 << 22
 
@@ -94,8 +104,9 @@ def _refined_cells(g: Graph) -> list[int]:
     return cells
 
 
-def _search(g: Graph) -> tuple[int, list[list[int]]]:
-    """The canonical code of g, and the automorphisms its search met.
+def _labelled_search(g: Graph) -> tuple[int, list[list[int]], list[int]]:
+    """The canonical code of g, the automorphisms its search met, and the
+    canonical order: the vertex placed at each position of the best leaf.
 
     Each automorphism is a list p with p[v] the image of vertex v. Together
     they generate the whole automorphism group of g.
@@ -183,7 +194,13 @@ def _search(g: Graph) -> tuple[int, list[list[int]]]:
                 if c & a:
                     split.append(c & a)
             stack.append((split, m, code, v))
-    return best, automorphisms
+    return best, automorphisms, best_order
+
+
+def _search(g: Graph) -> tuple[int, list[list[int]]]:
+    """The canonical code of g, and the automorphisms its search met."""
+    code, automorphisms, _ = _labelled_search(g)
+    return code, automorphisms
 
 
 def canonical_form(g: Graph) -> int:
@@ -222,12 +239,17 @@ def _orbit_representatives(n: int, automorphisms: list[list[int]]) -> list[int]:
 def _bits_to_graph(n: int, bits: int) -> Graph:
     rows = [0] * n
     pos = n * (n - 1) // 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            pos -= 1
-            if bits >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    for i in range(n - 1):
+        width = n - 1 - i
+        pos -= width
+        # row i's slice; its bit k is the pair (i, n - 1 - k)
+        row = bits >> pos & (1 << width) - 1
+        while row:
+            low = row & -row
+            row ^= low
+            j = n - low.bit_length()
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
     return Graph(n, rows, _checked=True)
 
 
@@ -241,31 +263,120 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
             and canonical_form(g) == canonical_form(h))
 
 
-def extend_connected(graphs: Sequence[Graph]) -> list[Graph]:
-    """All connected graphs (canonical, deduplicated) on n+1 vertices
-    obtainable from the given connected graphs on n vertices."""
-    seen: dict[int, int] = {}  # canonical bits -> edge count
-    out_n = None
+def _augmentation_code(h: Graph) -> int:
+    """h's canonical code if its last vertex lies in the Aut(h) orbit of
+    h's canonical deletion vertex, else -1.
+
+    The canonical deletion vertex is the non-cut vertex with the largest key
+    (degree, sum of neighbour degrees), ties going to the one placed first
+    in the canonical order. The last vertex is never a cut vertex, since
+    removing it leaves the connected parent, and only the vertices whose key
+    is at least its key are tested.
+    """
+    adj = h.adj
+    last = h.n - 1
+    deg = [row.bit_count() for row in adj]
+    top = deg[last]
+    top_sum = -1
+    full = (1 << h.n) - 1
+    tied = [last]
+    for v in range(last):
+        if deg[v] < top:
+            continue
+        larger = deg[v] > top
+        if not larger:
+            if top_sum < 0:
+                top_sum = sum(deg[u] for u in iter_bits(adj[last]))
+            total = sum(deg[u] for u in iter_bits(adj[v]))
+            if total < top_sum:
+                continue
+            larger = total > top_sum
+        # v is a cut vertex when a traversal of the rest misses some vertex
+        rest = full ^ 1 << v
+        seen = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= adj[low.bit_length() - 1]
+            frontier = reach & rest & ~seen
+            seen |= frontier
+        if seen != rest:
+            continue
+        if larger:
+            return -1
+        tied.append(v)
+    if len(tied) == 1:
+        return _search(h)[0]
+    code, automorphisms, order = _labelled_search(h)
+    first = min(tied, key=order.index)
+    orbit = 1 << first
+    todo = [first]
+    while todo:
+        v = todo.pop()
+        for p in automorphisms:
+            w = p[v]
+            if not orbit >> w & 1:
+                orbit |= 1 << w
+                todo.append(w)
+    return code if orbit >> last & 1 else -1
+
+
+def _distinct_parents(
+    graphs: Iterable[Graph],
+) -> tuple[int, list[tuple[Graph, list[list[int]]]]]:
+    """The common order n of the given connected graphs, and the first graph
+    of each isomorphism class among them with its automorphisms."""
+    searched: dict[int, tuple[Graph, list[list[int]]]] = {}
+    n = None
     for g in graphs:
-        n = g.n
-        if out_n is None:
-            out_n = n + 1
-        elif out_n != n + 1:
+        if n is None:
+            n = g.n
+        elif g.n != n:
             raise GraphError("extend_connected requires graphs of a single order")
         if not is_connected(g):
             raise GraphError("extend_connected requires connected graphs")
-        # neighbourhoods in one orbit of Aut(g) give isomorphic extensions
-        for nbhd in _orbit_representatives(n, _search(g)[1]):
+        code, automorphisms = _search(g)
+        searched.setdefault(code, (g, automorphisms))
+    if n is None:
+        raise GraphError("extend_connected needs at least one input graph")
+    return n, list(searched.values())
+
+
+def _children(
+    n: int, parents: list[tuple[Graph, list[list[int]]]]
+) -> Iterator[tuple[int, int]]:
+    """(canonical code, edge count) of the children of pairwise non-isomorphic
+    connected parents on n vertices: a parent plus a new vertex n joined to
+    one neighbourhood per orbit of Aut(parent), since neighbourhoods in one
+    orbit give isomorphic children.
+
+    When the parents cover every connected class on n vertices, a child is
+    kept only if n lies in the orbit of its canonical deletion vertex
+    (canonical augmentation; McKay, "Isomorph-free exhaustive generation",
+    1998), so each class on n+1 vertices comes out once. On fewer classes
+    that would drop the children whose canonical parent is missing, so there
+    every child is kept.
+    """
+    code_of = _augmentation_code if len(parents) == _CLASS_COUNTS.get(n) else canonical_form
+    for g, automorphisms in parents:
+        for nbhd in _orbit_representatives(n, automorphisms):
             rows = list(g.adj) + [nbhd]
             for v in iter_bits(nbhd):
                 rows[v] |= 1 << n
             h = Graph(n + 1, rows, _checked=True)
-            bits = canonical_form(h)
-            if bits not in seen:
-                seen[bits] = h.edge_count()
-    if out_n is None:
-        raise GraphError("extend_connected needs at least one input graph")
-    return [_bits_to_graph(out_n, b) for b in sorted(seen, key=lambda b: (seen[b], b))]
+            code = code_of(h)
+            if code >= 0:
+                yield code, h.edge_count()
+
+
+def extend_connected(graphs: Sequence[Graph]) -> list[Graph]:
+    """All connected graphs (canonical, deduplicated) on n+1 vertices
+    obtainable from the given connected graphs on n vertices."""
+    n, parents = _distinct_parents(graphs)
+    seen = dict(_children(n, parents))  # canonical bits -> edge count
+    return [_bits_to_graph(n + 1, b) for b in sorted(seen, key=lambda b: (seen[b], b))]
 
 
 _builtin_cache: dict[int, list[Graph]] = {}

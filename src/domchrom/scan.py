@@ -140,6 +140,19 @@ class ScanSummary:
             raise ScanError("checkpoint's dk tables must share one set of keys")
         if min(counts, default=1) < 1 or sum(counts) > summary.total:
             raise ScanError(f"checkpoint's dk counts must be >= 1 and sum to at most {summary.total}")
+        # chi_d never exceeds the order, and the first D(k) graph of a stream
+        # that is not sorted by order may be larger than the smallest one
+        for k, min_n in summary.dk_min_n.items():
+            first = summary.dk_first_graph6[k]
+            try:
+                valid = 1 <= k <= min_n and first == first.strip() and parse_graph6(first).n >= min_n
+            except GraphError:
+                valid = False
+            if not valid:
+                raise ScanError(
+                    f"checkpoint's dk entry {k} needs 1 <= k <= min_n ({min_n}) and a "
+                    f"first graph6 of at least min_n vertices, not {first!r}"
+                )
         return summary
 
 

@@ -314,6 +314,12 @@ def _corrupt_state(**fields):
         (_corrupt_state(dk_counts={"2": 500}), "sum to at most 21"),
         (_corrupt_state(dk_counts={"2": 0}), "dk counts must be >= 1"),
         (_corrupt_state(total=20, skipped=[[20, 21]]), "bytes and 20 records its checkpoint"),
+        (_corrupt_state(dk_min_n={"2": -3}), "dk entry 2 needs 1 <= k <= min_n (-3)"),
+        (_corrupt_state(dk_first_graph6={"2": "not graph6,1"}), "not 'not graph6,1'"),
+        (
+            _corrupt_state(dk_counts={"-7": 1}, dk_min_n={"-7": 5}, dk_first_graph6={"-7": "DFw"}),
+            "dk entry -7 needs 1 <= k <= min_n (5)",
+        ),
     ],
 )
 def test_scan_refuses_a_malformed_checkpoint(capsys, tmp_path, corrupt, message):

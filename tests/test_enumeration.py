@@ -7,7 +7,10 @@ import pytest
 
 import oracles as naive
 from domchrom.enumeration import (
+    _CLASS_COUNTS,
     CONNECTED_COUNTS,
+    _children,
+    _distinct_parents,
     _refined_cells,
     _search,
     are_isomorphic,
@@ -319,3 +322,39 @@ def test_orbit_pruned_extension_equals_canonicalizing_every_neighbourhood(parent
     for g in parents():
         got = [canonical_form(h) for h in extend_connected([g])]
         assert got == _extension_reference([g]), (g.n, g.adj)
+
+
+def _relabelled_and_shuffled(graphs, rng):
+    out = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(g.permuted(perm))
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_extension_of_every_class_is_independent_of_labels_order_and_repeats(n):
+    want = [g.adj for g in enumerate_connected(n + 1)]
+    parents = _relabelled_and_shuffled(enumerate_connected(n), random.Random(7))
+    twice = [g for g in parents for _ in range(2)]
+    assert [g.adj for g in extend_connected(parents)] == want
+    assert [g.adj for g in extend_connected(twice)] == want
+    # one copy of a parent dropped: every class is still there
+    assert [g.adj for g in extend_connected(twice[1:])] == want
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_extension_of_all_but_one_class_canonicalizes_every_child(n):
+    rest = _relabelled_and_shuffled(enumerate_connected(n), random.Random(7))[1:]
+    got = [canonical_form(h) for h in extend_connected(rest)]
+    assert got == _extension_reference(rest)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_canonical_augmentation_accepts_each_class_exactly_once(n):
+    codes = [code for code, _ in _children(*_distinct_parents(enumerate_connected(n)))]
+    assert len(set(codes)) == len(codes) == _CLASS_COUNTS[n + 1]
+    if n + 1 in CONNECTED_COUNTS:
+        assert set(codes) == {canonical_form(g) for g in enumerate_connected(n + 1)}

@@ -183,6 +183,22 @@ def test_checkpoint_resume_is_byte_identical(tmp_path):
     assert part_sum.read_bytes() == full_sum.read_bytes()
 
 
+def test_resume_accepts_a_first_dk_graph_above_the_least_order(tmp_path):
+    # an order-6 D(2) graph precedes the order-5 ones, so the checkpoint's
+    # first graph6 for k = 2 has more vertices than its min_n of 5
+    lines = lines_for(6) + lines_for(5)
+    full_sum = tmp_path / "full.csv"
+    scan_stream(lines, checks=("invariants",), summary_path=full_sum, source_id="n65")
+    part_sum = tmp_path / "part.csv"
+    cp = tmp_path / "cp.json"
+    kwargs = dict(checks=("invariants",), summary_path=part_sum, checkpoint_path=cp, source_id="n65")
+    scan_stream(lines[:-1], **kwargs)
+    state = json.loads(cp.read_text())["summary_state"]
+    assert state["dk_min_n"]["2"] == 5 and parse_graph6(state["dk_first_graph6"]["2"]).n == 6
+    scan_stream(lines, **kwargs)
+    assert part_sum.read_bytes() == full_sum.read_bytes()
+
+
 def test_resume_refuses_a_record_file_edited_in_place(tmp_path):
     lines = lines_for(5)
     out = tmp_path / "records.jsonl"
