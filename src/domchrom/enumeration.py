@@ -308,7 +308,7 @@ def _augmentation_code(h: Graph) -> int:
             return -1
         tied.append(v)
     if len(tied) == 1:
-        return _search(h)[0]
+        return canonical_form(h)
     code, automorphisms, order = _labelled_search(h)
     first = min(tied, key=order.index)
     orbit = 1 << first
