@@ -16,28 +16,31 @@ a list of four edge numbers, with -1 for none.
 Two exact screens spare most LR runs. Both look at the 2-core, what is left
 after repeatedly deleting vertices of degree <= 1; a graph is planar exactly
 when its 2-core is, because a Kuratowski subdivision has minimum degree 2.
-`lr_is_planar` calls a graph planar without an LR run when its 2-core has
-fewer than 6 vertices of degree >= 3 and fewer than 5 of degree >= 4, the
-branch vertices a K_{3,3} or K_5 subdivision needs. The deletion keeps only
-the 2-core of the kept graph: an edge outside it is a bridge into a pendant
-tree and goes untested, and an edge inside it is tested on the re-peeled
-core. The edges kept, and so the witness, are those of one LR run per edge.
-The witness is read off the final core's rows: branch vertices are the rows
-with more than two bits set, and each path is walked bit by bit between
-them. The tests check it against `tests/oracles.py`, which deletes edges
-one networkx planarity test at a time and classifies its own edge list.
+One predicate decides a 2-core's rows: planar without an LR run when they
+have fewer than 6 vertices of degree >= 3 and fewer than 5 of degree >= 4,
+the branch vertices a K_{3,3} or K_5 subdivision needs, else one LR run.
+`lr_is_planar` applies it to the graph's 2-core. The deletion keeps only the
+2-core of the kept graph: an edge outside it is a bridge into a pendant tree
+and goes untested, and an edge inside it is tested on the trial rows as the
+peel leaves them, a 2-core already. The edges kept, and so the witness, are
+those of one LR run per edge. The witness is read off the final core's rows:
+branch vertices are the rows with more than two bits set, and each path is
+walked bit by bit between them. The tests check it against
+`tests/oracles.py`, which deletes edges one networkx planarity test at a
+time and classifies its own edge list.
 
-Certificates are verified by re-walking, not trusted: embeddings via
-Euler's formula per connected component, witnesses by tracing their
-branch-vertex paths.
+Certificates are verified by re-walking, not trusted: embeddings via one
+Euler sum over the connected components with an edge, witnesses by tracing
+their paths and matching the branch graph, one edge per path, to K_5 or
+K_{3,3}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from typing import Sequence
 
-from .graphs import Graph, GraphError, connected_component_masks, iter_bits
+from .graphs import Graph, GraphError, complete_bipartite_parts, connected_component_masks, iter_bits
 
 
 @dataclass(frozen=True)
@@ -71,13 +74,13 @@ class _LRPlanarity:
     A conflict pair on the stack `S` is [L.low, L.high, R.low, R.high]; an
     interval is empty when its low is -1."""
 
-    def __init__(self, g: Graph):
-        self.g = g
-        self.n = g.n
-        self.height = [-1] * g.n  # -1: not reached yet
-        self.parent_edge = [-1] * g.n  # -1: a DFS root
+    def __init__(self, adj: Sequence[int]):
+        self.adj = adj
+        self.n = n = len(adj)
+        self.height = [-1] * n  # -1: not reached yet
+        self.parent_edge = [-1] * n  # -1: a DFS root
         self.roots: list[int] = []
-        self.orient_adjs: list[list[int]] = [[] for _ in range(g.n)]
+        self.orient_adjs: list[list[int]] = [[] for _ in range(n)]
         self.src: list[int] = []
         self.dst: list[int] = []
         self.lowpt: list[int] = []
@@ -94,7 +97,7 @@ class _LRPlanarity:
     # -- phase 1: DFS orientation ------------------------------------------
 
     def _orient(self) -> None:
-        adj = [list(iter_bits(row)) for row in self.g.adj]
+        adj = [list(iter_bits(row)) for row in self.adj]
         height, parent_edge, orient_adjs = self.height, self.parent_edge, self.orient_adjs
         src, dst, lowpt, lowpt2 = self.src, self.dst, self.lowpt, self.lowpt2
         for root in range(self.n):
@@ -338,7 +341,7 @@ class _LRPlanarity:
         return tuple(tuple(r) for r in rotation)
 
     def run(self) -> bool:
-        if self.n > 2 and self.g.edge_count() > 3 * self.n - 6:
+        if self.n > 2 and sum(row.bit_count() for row in self.adj) > 6 * self.n - 12:
             return False
         self._orient()
         return self._test()
@@ -376,18 +379,20 @@ def _too_few_branch_vertices(core: list[int]) -> bool:
     return deg3 < 6 and deg4 < 5
 
 
+def _core_is_planar(core: list[int]) -> bool:
+    """Planarity of a 2-core given as rows: the branch-vertex screen, then
+    one LR run when the screen does not decide."""
+    return _too_few_branch_vertices(core) or _LRPlanarity(core).run()
+
+
 def lr_is_planar(g: Graph) -> bool:
-    """Bare LR planarity decision, no certificate. Graphs whose 2-core has
-    too few branch vertices for a Kuratowski subdivision are planar with no
-    LR run."""
-    if _too_few_branch_vertices(_two_core(g)):
-        return True
-    return _LRPlanarity(g).run()
+    """Bare LR planarity decision on the 2-core of g, no certificate."""
+    return _core_is_planar(_two_core(g))
 
 
 def planar_embedding(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Rotation system of a planar graph (raises if non-planar)."""
-    lr = _LRPlanarity(g)
+    lr = _LRPlanarity(g.adj)
     if not lr.run():
         raise GraphError("graph is not planar; no embedding exists")
     return lr.embed()
@@ -398,103 +403,65 @@ def planar_embedding(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def verify_embedding(g: Graph, rotation: tuple[tuple[int, ...], ...]) -> bool:
-    """Check the rotation system is a planar embedding via Euler's formula,
-    applied to every connected component."""
+    """Check the rotation system is a planar embedding. On a connected graph
+    with an edge, V - E + F = 2 - 2 * genus, so summed over the c components
+    with an edge, V - E + F = 2c exactly when every one of them is planar."""
     if len(rotation) != g.n:
         return False
     for v in range(g.n):
-        if sorted(rotation[v]) != sorted(iter_bits(g.adj[v])):
+        if sorted(rotation[v]) != list(iter_bits(g.adj[v])):
             return False
-    position = [
-        {u: i for i, u in enumerate(rotation[v])} for v in range(g.n)
-    ]
+    position = [{u: i for i, u in enumerate(r)} for r in rotation]
     # trace faces: successor of dart (u, v) is (v, w) with w cyclically after
     # u in the rotation at v
     seen: set[tuple[int, int]] = set()
-    faces_in_component: dict[int, int] = {}
-    comps = connected_component_masks(g)
-    comp_of: dict[int, int] = {}
-    for i, mask in enumerate(comps):
-        for v in iter_bits(mask):
-            comp_of[v] = i
+    faces = 0
     for v in range(g.n):
         for u in rotation[v]:
-            dart = (v, u)
-            if dart in seen:
+            cur = (v, u)
+            if cur in seen:
                 continue
-            cur = dart
+            faces += 1
             while cur not in seen:
                 seen.add(cur)
                 a, b = cur
-                idx = position[b][a]
-                nxt = rotation[b][(idx + 1) % len(rotation[b])]
-                cur = (b, nxt)
-            faces_in_component[comp_of[v]] = faces_in_component.get(comp_of[v], 0) + 1
-    for i, mask in enumerate(comps):
-        vcount = mask.bit_count()
-        ecount = sum(g.adj[v].bit_count() for v in iter_bits(mask)) // 2
-        if ecount == 0:
-            continue  # a single vertex bounds one face trivially
-        if vcount - ecount + faces_in_component.get(i, 0) != 2:
-            return False
-    return True
+                cur = (b, rotation[b][(position[b][a] + 1) % len(rotation[b])])
+    with_edges = [mask for mask in connected_component_masks(g) if mask & (mask - 1)]
+    vertices = sum(mask.bit_count() for mask in with_edges)
+    return vertices - g.edge_count() + faces == 2 * len(with_edges)
 
 
 def verify_kuratowski(g: Graph, witness: KuratowskiWitness) -> bool:
-    """Re-walk the witness: edges exist, paths are internally disjoint, and
-    the branch structure is K_5 or K_{3,3}."""
+    """Re-walk the witness: its vertices are g's, each path runs along edges
+    of g between two branch vertices, the paths are internally disjoint, and
+    the branch graph (one edge per path) is K_5 or K_{3,3}."""
+    order = {"K5": 5, "K33": 6}.get(witness.kind)
     branch = set(witness.branch_vertices)
-    if witness.kind == "K5":
-        if len(branch) != 5 or len(witness.paths) != 10:
-            return False
-        expected_pairs = {frozenset(p) for p in combinations(sorted(branch), 2)}
-    elif witness.kind == "K33":
-        if len(branch) != 6 or len(witness.paths) != 9:
-            return False
-        expected_pairs = None  # checked after bipartition is derived
-    else:
+    if len(branch) != order:
         return False
-
-    internal_seen: set[int] = set()
-    pair_set: set[frozenset[int]] = set()
+    vertices = branch.union(*witness.paths)
+    if min(vertices) < 0 or max(vertices) >= g.n:
+        return False  # a negative vertex would index the rows from the end
+    index = {v: i for i, v in enumerate(sorted(branch))}
+    used = set(branch)
+    rows = [0] * order
     for path in witness.paths:
-        if len(path) < 2 or path[0] not in branch or path[-1] not in branch:
+        if len(path) < 2 or path[0] not in index or path[-1] not in index:
             return False
-        for a, b in zip(path, path[1:]):
-            if not g.has_edge(a, b):
-                return False
-        interior = path[1:-1]
-        for w in interior:
-            if w in branch or w in internal_seen:
-                return False  # paths must be internally disjoint
-            internal_seen.add(w)
-        if len(set(path)) != len(path):
+        if not all(g.has_edge(a, b) for a, b in zip(path, path[1:])):
             return False
-        pair = frozenset((path[0], path[-1]))
-        if len(pair) != 2 or pair in pair_set:
-            return False
-        pair_set.add(pair)
-
+        interior = set(path[1:-1])
+        if len(interior) != len(path) - 2 or interior & used:
+            return False  # paths must be internally disjoint
+        used |= interior
+        a, b = index[path[0]], index[path[-1]]
+        if a == b or rows[a] >> b & 1:
+            return False  # a loop or a second path between the same pair
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
     if witness.kind == "K5":
-        return pair_set == expected_pairs
-    # K33: the branch graph (one edge per path) must be complete bipartite 3+3
-    by_vertex: dict[int, set[int]] = {v: set() for v in branch}
-    for pair in pair_set:
-        a, b = tuple(pair)
-        by_vertex[a].add(b)
-        by_vertex[b].add(a)
-    if any(len(nbrs) != 3 for nbrs in by_vertex.values()):
-        return False
-    start = min(branch)
-    side_a = {start} | set()
-    side_b = set(by_vertex[start])
-    side_a |= branch - side_b - {start}
-    if len(side_a) != 3 or len(side_b) != 3:
-        return False
-    for a in side_a:
-        if by_vertex[a] != side_b:
-            return False
-    return True
+        return len(witness.paths) == 10  # 10 distinct pairs of 5 vertices
+    return complete_bipartite_parts(Graph(order, rows, _checked=True)) == (3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +480,7 @@ def _witness_by_deletion(g: Graph) -> KuratowskiWitness:
     """Delete each edge of the non-planar g in sorted order unless that makes
     the kept graph planar. Only the kept graph's 2-core is stored: a graph is
     planar exactly when its 2-core is, so an edge outside the core is dropped
-    untested, and an edge inside is tested on the re-peeled trial core."""
+    untested, and an edge inside is tested on the trial core `_peel` leaves."""
     core = _two_core(g)
     for u, v in sorted(g.edges()):
         if not core[u] >> v & 1:
@@ -522,7 +489,7 @@ def _witness_by_deletion(g: Graph) -> KuratowskiWitness:
         trial[u] &= ~(1 << v)
         trial[v] &= ~(1 << u)
         _peel(trial, [u, v])
-        if not lr_is_planar(Graph(g.n, trial, _checked=True)):
+        if not _core_is_planar(trial):
             core = trial
     return _classify_subdivision(core)
 
@@ -560,7 +527,7 @@ def _classify_subdivision(core: list[int]) -> KuratowskiWitness:
 
 def is_planar(g: Graph) -> PlanarityVerdict:
     """Planarity verdict with a self-checking certificate either way."""
-    lr = _LRPlanarity(g)
+    lr = _LRPlanarity(g.adj)
     if lr.run():
         rotation = lr.embed()
         if not verify_embedding(g, rotation):

@@ -143,6 +143,16 @@ def test_blueprint_size_errors():
         build_d3(D3Blueprint(2, 3, frozenset(), frozenset(), {}))
 
 
+def test_rule3_set_outside_v1_less_x1_is_rejected():
+    # x1 = 0 lies in V1 but is excluded; 4 is y3, in V2
+    for rule3 in ({0}, {4}):
+        bp = D3Blueprint(3, 3, frozenset(), frozenset(rule3), {2: OPPOSITE, 5: OPPOSITE})
+        with pytest.raises(GraphError, match="rule3_set must be a subset"):
+            validate_blueprint(bp)
+        with pytest.raises(GraphError, match="rule3_set must be a subset"):
+            build_d3(bp)
+
+
 def test_all_v3_assignment_violates_rule4_tail():
     assign = {2: SINGLETON, 3: SINGLETON, 6: SINGLETON, 7: SINGLETON}
     verdict = validate_blueprint(D3Blueprint(4, 4, frozenset(), frozenset(), assign))

@@ -102,6 +102,17 @@ def test_nonzero_padding_rejected():
         parse_graph6("Bz")
 
 
+def test_size_prefix_limits():
+    # "~??D" spells n = 5 in the 4-byte prefix, which is reserved for n >= 63
+    with pytest.raises(Graph6Error, match="non-canonical long size prefix"):
+        parse_graph6("~??DGo")
+    # "~~" opens the 8-byte prefix of orders above 258,047
+    with pytest.raises(Graph6Error, match="orders above 258047"):
+        parse_graph6("~~?????@??")
+    with pytest.raises(Graph6Error, match="orders above 258047"):
+        to_graph6(from_edge_list(258048, []))
+
+
 def test_iter_graph6_lines():
     lines = [">>graph6<<Bw", "", "A?", "   ", "@"]
     parsed = list(iter_graph6_lines(lines))

@@ -67,6 +67,12 @@ def test_graph_constructor_validates():
         Graph(2, (2, 0))
     with pytest.raises(GraphError, match="self-loop"):
         Graph(1, (1,))
+    with pytest.raises(GraphError, match="vertex count"):
+        Graph(-1, ())
+    with pytest.raises(GraphError, match="1 rows for 2 vertices"):
+        Graph(2, (0,))
+    with pytest.raises(GraphError, match="row 0 references vertices >= 2"):
+        Graph(2, (4, 0))
 
 
 def test_is_connected():

@@ -15,9 +15,10 @@ from domchrom.constructions import DOddSpec, build_d_odd, build_d3, enumerate_d3
 from domchrom.enumeration import enumerate_connected
 from domchrom import planarity
 from domchrom.graph6 import to_graph6
-from domchrom.graphs import GraphError, complete_bipartite, from_edge_list
+from domchrom.graphs import Graph, GraphError, complete_bipartite, from_edge_list
 from domchrom.planarity import (
     KuratowskiWitness,
+    _core_is_planar,
     _too_few_branch_vertices,
     _two_core,
     is_planar,
@@ -166,6 +167,8 @@ def test_verify_embedding_rejects_tampering():
     assert not verify_embedding(K4, tuple(tuple(r) for r in rot))
     # wrong neighbor sets are rejected outright
     assert not verify_embedding(K4, ((1, 2), (0, 2, 3), (0, 1, 3), (1, 2)))
+    # so is a rotation tuple with a row per vertex missing
+    assert not verify_embedding(K4, verdict.embedding[:-1])
 
 
 def test_verify_kuratowski_rejects_tampering():
@@ -178,6 +181,57 @@ def test_verify_kuratowski_rejects_tampering():
     # a path through a non-edge
     bad = w.paths[:-1] + ((w.paths[-1][0], w.paths[-1][0] or 1),)
     assert not verify_kuratowski(K5, KuratowskiWitness("K5", w.branch_vertices, bad))
+    # a kind other than K5 or K33
+    assert not verify_kuratowski(K5, KuratowskiWitness("K7", w.branch_vertices, w.paths))
+    # one branch pair joined by two paths, another by none
+    bad = w.paths[:-1] + w.paths[:1]
+    assert not verify_kuratowski(K5, KuratowskiWitness("K5", w.branch_vertices, bad))
+    # a path through a branch vertex
+    bad = ((0, 2, 1),) + w.paths[1:]
+    assert w.paths[0] == (0, 1)
+    assert not verify_kuratowski(K5, KuratowskiWitness("K5", w.branch_vertices, bad))
+
+    # K5 with edge 0-1 subdivided by vertex 5, which is also joined to 2 and 3
+    g = from_edge_list(6, list(K5.edges()) + [(0, 5), (1, 5), (2, 5), (3, 5)])
+    paths = ((0, 5, 1),) + tuple(e for e in K5.edges() if e != (0, 1))
+    assert verify_kuratowski(g, KuratowskiWitness("K5", tuple(range(5)), paths))
+    for path in (
+        (0, 5),  # ends at 5, which is not a branch vertex
+        (0, 5, 0),  # repeats a vertex
+    ):
+        bad = (path,) + paths[1:]
+        assert not verify_kuratowski(g, KuratowskiWitness("K5", tuple(range(5)), bad))
+    # vertex 5 inside two paths
+    bad = tuple((2, 5, 3) if p == (2, 3) else p for p in paths)
+    assert not verify_kuratowski(g, KuratowskiWitness("K5", tuple(range(5)), bad))
+
+    k33, _ = complete_bipartite(3, 3)
+    k6 = from_edge_list(6, itertools.combinations(range(6), 2))
+    k33_paths = tuple(k33.edges())
+    assert verify_kuratowski(k6, KuratowskiWitness("K33", tuple(range(6)), k33_paths))
+    # a branch graph with a vertex of degree 4 (and one of degree 2)
+    bad = tuple((0, 1) if p == (2, 5) else p for p in k33_paths)
+    assert not verify_kuratowski(k6, KuratowskiWitness("K33", tuple(range(6)), bad))
+    # the triangular prism: 3-regular but not bipartite
+    prism = ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5))
+    assert not verify_kuratowski(k6, KuratowskiWitness("K33", tuple(range(6)), prism))
+
+    # vertices outside 0..n-1; a negative one would index k33's rows from the end
+    hostile = (
+        KuratowskiWitness(
+            "K33", (-1, 3, 4, 0, 1, 2),
+            ((-1, 0), (-1, 1), (-1, 2), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)),
+        ),
+        KuratowskiWitness(
+            "K33", (0, 1, 9, 3, 4, 5),
+            ((0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (9, 3), (9, 4), (9, 5)),
+        ),
+        KuratowskiWitness(
+            "K33", tuple(range(6)), tuple((0, -2, 3) if p == (0, 3) else p for p in k33_paths)
+        ),
+    )
+    for witness in hostile:
+        assert not verify_kuratowski(k33, witness)
 
 
 def test_kuratowski_on_planar_raises():
@@ -222,20 +276,21 @@ def screened_planar(g) -> bool:
 
 def assert_witnesses_match_oracle(graphs, monkeypatch):
     """kuratowski_witness equals the one-LR-run-per-edge oracle, and every
-    deletion trial the 2-core screen calls planar is planar."""
-    trials = []
+    2-core that the branch-vertex screen calls planar is planar: the input
+    graphs' cores and every deletion trial's."""
+    cores = []
 
-    def recording(h):
-        trials.append(h)
-        return lr_is_planar(h)
+    def recording(core):
+        cores.append(core)
+        return _core_is_planar(core)
 
-    monkeypatch.setattr(planarity, "lr_is_planar", recording)
+    monkeypatch.setattr(planarity, "_core_is_planar", recording)
     for g in graphs:
         assert kuratowski_witness(g) == naive.kuratowski_by_deletion(g)
-    assert trials
-    for h in trials:
-        if screened_planar(h):
-            assert networkx_planar(h)
+    assert len(cores) > len(graphs)
+    for core in cores:
+        if _too_few_branch_vertices(core):
+            assert networkx_planar(Graph(len(core), core))
 
 
 def test_witness_matches_deletion_oracle_through_n7(monkeypatch):

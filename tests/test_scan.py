@@ -8,7 +8,7 @@ import pytest
 
 from domchrom.enumeration import enumerate_connected
 from domchrom.graph6 import parse_graph6, to_graph6
-from domchrom.graphs import complete_bipartite_parts
+from domchrom.graphs import complete_bipartite_parts, from_edge_list
 from domchrom.invariants import compute_report
 from domchrom.scan import (
     Checkpoint,
@@ -271,6 +271,17 @@ def test_min_order_scan_partial_without_source():
 def test_min_order_scan_rejects_small_k():
     with pytest.raises(Exception):
         min_order_scan(1, 5)
+
+
+def test_min_order_scan_source_lines():
+    path8 = from_edge_list(8, [(i, i + 1) for i in range(7)])
+    with pytest.raises(ScanError, match="order 8 produced a graph of order 7"):
+        min_order_scan(3, 8, {8: [to_graph6(path8.subgraph(range(7)))]})
+    # a disconnected line is skipped and not counted
+    two_paths = from_edge_list(8, [(i, i + 1) for i in range(7) if i != 3])
+    survey = min_order_scan(3, 8, {8: [to_graph6(two_paths), to_graph6(path8)]})
+    assert survey["orders_scanned"][8] == 1
+    assert survey["complete"] is True and survey["smallest_order"] is None
 
 
 def test_min_order_scan_deterministic():
