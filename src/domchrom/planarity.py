@@ -16,23 +16,21 @@ a list of four edge numbers, with -1 for none.
 Two exact screens spare most LR runs. Both look at the 2-core, what is left
 after repeatedly deleting vertices of degree <= 1; a graph is planar exactly
 when its 2-core is, because a Kuratowski subdivision has minimum degree 2.
-One predicate decides a 2-core's rows: planar without an LR run when they
-have fewer than 6 vertices of degree >= 3 and fewer than 5 of degree >= 4,
-the branch vertices a K_{3,3} or K_5 subdivision needs, else one LR run.
-`lr_is_planar` applies it to the graph's 2-core. The deletion keeps only the
-2-core of the kept graph: an edge outside it is a bridge into a pendant tree
-and goes untested, and an edge inside it is tested on the trial rows as the
-peel leaves them, a 2-core already. The edges kept, and so the witness, are
-those of one LR run per edge. The witness is read off the final core's rows:
-branch vertices are the rows with more than two bits set, and each path is
-walked bit by bit between them. The tests check it against
-`tests/oracles.py`, which deletes edges one networkx planarity test at a
-time and classifies its own edge list.
+One predicate decides 2-core rows: planar without an LR run when fewer than
+6 have degree >= 3 and fewer than 5 degree >= 4, the branch vertices a
+K_{3,3} or K_5 subdivision needs, else by one LR run. `lr_is_planar` gives
+it the graph's 2-core. The deletion keeps only the kept graph's 2-core: an
+edge outside it is a bridge into a pendant tree and goes untested, and an
+edge inside it is tested on the trial rows as the peel leaves them. The
+edges kept, and so the witness, are those of one LR run per edge. The
+witness is read off the final core's rows: branch vertices are the rows
+with more than two bits set, and each path is walked bit by bit between
+them. The tests check it against `tests/oracles.py`, which deletes edges
+one networkx planarity test at a time and classifies its own edge list.
 
-Certificates are verified by re-walking, not trusted: embeddings via one
-Euler sum over the connected components with an edge, witnesses by tracing
-their paths and matching the branch graph, one edge per path, to K_5 or
-K_{3,3}.
+Certificates are verified by re-walking, not trusted: embeddings by one
+Euler sum over the components with an edge, witnesses by tracing their
+paths and matching the branch graph (one edge per path) to K_5 or K_{3,3}.
 """
 
 from __future__ import annotations
@@ -411,7 +409,9 @@ def verify_embedding(g: Graph, rotation: tuple[tuple[int, ...], ...]) -> bool:
     for v in range(g.n):
         if sorted(rotation[v]) != list(iter_bits(g.adj[v])):
             return False
-    position = [{u: i for i, u in enumerate(r)} for r in rotation]
+    position = [
+        {u: i for i, u in enumerate(rotation[v])} for v in range(g.n)
+    ]
     # trace faces: successor of dart (u, v) is (v, w) with w cyclically after
     # u in the rotation at v
     seen: set[tuple[int, int]] = set()
@@ -425,7 +425,9 @@ def verify_embedding(g: Graph, rotation: tuple[tuple[int, ...], ...]) -> bool:
             while cur not in seen:
                 seen.add(cur)
                 a, b = cur
-                cur = (b, rotation[b][(position[b][a] + 1) % len(rotation[b])])
+                idx = position[b][a]
+                nxt = rotation[b][(idx + 1) % len(rotation[b])]
+                cur = (b, nxt)
     with_edges = [mask for mask in connected_component_masks(g) if mask & (mask - 1)]
     vertices = sum(mask.bit_count() for mask in with_edges)
     return vertices - g.edge_count() + faces == 2 * len(with_edges)
@@ -436,14 +438,13 @@ def verify_kuratowski(g: Graph, witness: KuratowskiWitness) -> bool:
     of g between two branch vertices, the paths are internally disjoint, and
     the branch graph (one edge per path) is K_5 or K_{3,3}."""
     order = {"K5": 5, "K33": 6}.get(witness.kind)
-    branch = set(witness.branch_vertices)
-    if len(branch) != order:
+    used = set(witness.branch_vertices)  # and, as they are walked, path interiors
+    if len(used) != order:
         return False
-    vertices = branch.union(*witness.paths)
+    vertices = used.union(*witness.paths)
     if min(vertices) < 0 or max(vertices) >= g.n:
         return False  # a negative vertex would index the rows from the end
-    index = {v: i for i, v in enumerate(sorted(branch))}
-    used = set(branch)
+    index = {v: i for i, v in enumerate(sorted(used))}
     rows = [0] * order
     for path in witness.paths:
         if len(path) < 2 or path[0] not in index or path[-1] not in index:
