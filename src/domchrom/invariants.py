@@ -9,16 +9,16 @@ Solver strategy: domination numbers by branch-and-bound on the set of
 undominated vertices. The chromatic numbers share one iterative coloring
 search on an explicit stack, clique vertices first and then by degree. It
 runs on one state per k: each class's members and the vertices adjacent to
-all of them, from which the proper, dominator and dominated rules are all
-read, and a trail that undoes a placement by restoring two integers.
-Iterative deepening on k from the clique bound finds each number. Lex-least
-witnesses and the enumeration of all optimal colorings walk prefixes in
-identity order on the same state: the placed prefix stays placed, and the
-search, given the prefix, is an oracle that decides whether a branch
-completes, searching only the unplaced vertices. Witnesses are the
-lexicographically least optimal ones (dominating sets compared as sorted
-vertex tuples, colorings by their vertex-to-class assignment sequence,
-classes numbered by first use).
+all of them, and a trail that undoes a placement by restoring two integers.
+The class scan skips classes that break the proper or dominated rule; the
+dominator rule is read on the placed state. Iterative deepening on k from
+the clique bound finds each number. Lex-least witnesses and the enumeration
+of all optimal colorings walk prefixes in identity order on the same state:
+the placed prefix stays placed, and the search, given the prefix, is an
+oracle that decides whether a branch completes, searching only the unplaced
+vertices. Witnesses are the lexicographically least optimal ones (dominating
+sets compared as sorted vertex tuples, colorings by their vertex-to-class
+assignment sequence, classes numbered by first use).
 
 Convention: a vertex dominates its own color class only when that class is
 exactly the singleton {v}. Cross-class domination always means "adjacent to
@@ -258,8 +258,6 @@ def _min_cover_size(n: int, covers: tuple[int, ...]) -> int:
     undominated vertex.
     """
     full = (1 << n) - 1
-    if full == 0:
-        return 0
     best = _greedy_cover_size(n, covers)
 
     # depth-first on an explicit stack; children are pushed in reverse, so
@@ -424,12 +422,12 @@ class _ColoringState:
 
     members[c] is class c's vertex mask and common[c] the mask of vertices
     adjacent to every member (all vertices while the class is empty). That
-    is all either side constraint needs, because commons only shrink and
-    classes only grow:
-    - dominated: class c can still have a dominator iff common[c] != 0;
-    - dominator: every vertex must lie in some common[c] or be the sole
-      member of its class. An unplaced vertex outside every common finds
-      all classes non-empty, so it can never be alone.
+    is all the rules need, because commons only shrink and classes grow:
+    - proper and dominated, read in the class scan: v may join class c iff
+      members[c] & adj[v] == 0 and, when dominated, common[c] & adj[v] != 0;
+    - dominator, read on the placed state once all k classes are used:
+      every vertex must lie in some common[c] or be the sole member of its
+      class; an unplaced vertex, finding no class empty, is never alone.
     A trail entry (v, c, old common[c], old used) undoes one placement.
     """
 
@@ -496,42 +494,34 @@ class _ColoringState:
                 c = tries[pos]
                 limit = hi if pos == 0 else used + 1 if used < k else k
                 while c < limit:
-                    if not members[c] & a:
+                    if not members[c] & a and (not dominated or common[c] & a):
                         old = common[c]
-                        if dominated:
-                            if old & a:
-                                break
-                        elif dominator and used + (c == used) == k:
-                            # fail when a vertex lies outside every common
-                            # and is not alone in its class
-                            mc = members[c]
-                            members[c] = mc | 1 << v
-                            common[c] = old & a
-                            cover = 0
-                            for x in common:
-                                cover |= x
-                            bad = full & ~cover
-                            while bad:
-                                low = bad & -bad
-                                if low not in members:
-                                    break
-                                bad ^= low
-                            members[c] = mc
-                            common[c] = old
-                            if not bad:
-                                break
-                        else:
+                        trail.append((v, c, old, used))
+                        members[c] |= 1 << v
+                        common[c] = old & a
+                        cls[v] = c
+                        if c == used:
+                            used += 1
+                        if not dominator or used < k:
                             break
+                        # on the placed state: fail when a vertex lies
+                        # outside every common and is not alone in its class
+                        cover = 0
+                        for x in common:
+                            cover |= x
+                        bad = full & ~cover
+                        while bad:
+                            low = bad & -bad
+                            if low not in members:
+                                break
+                            bad ^= low
+                        if not bad:
+                            break
+                        used = trail.pop()[3]
+                        members[c] ^= 1 << v
+                        common[c] = old
                     c += 1
-                else:
-                    c = -1
-                if c >= 0:
-                    trail.append((v, c, old, used))
-                    members[c] |= 1 << v
-                    common[c] = old & a
-                    cls[v] = c
-                    if c == used:
-                        used += 1
+                if c < limit:
                     tries[pos] = c + 1
                     pos += 1
                     tries[pos] = 0
@@ -543,9 +533,7 @@ class _ColoringState:
             members[c] ^= 1 << v
             common[c] = old
         while len(trail) > mark:
-            v, c, old, _ = trail.pop()
-            members[c] ^= 1 << v
-            common[c] = old
+            self.pop()
         return result
 
 

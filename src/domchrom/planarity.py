@@ -439,8 +439,8 @@ def verify_kuratowski(g: Graph, witness: KuratowskiWitness) -> bool:
     the branch graph (one edge per path) is K_5 or K_{3,3}."""
     order = {"K5": 5, "K33": 6}.get(witness.kind)
     used = set(witness.branch_vertices)  # and, as they are walked, path interiors
-    if len(used) != order:
-        return False
+    if not len(used) == len(witness.branch_vertices) == order:
+        return False  # too few or too many branch vertices, or one listed twice
     vertices = used.union(*witness.paths)
     if min(vertices) < 0 or max(vertices) >= g.n:
         return False  # a negative vertex would index the rows from the end

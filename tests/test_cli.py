@@ -300,6 +300,8 @@ def _corrupt_state(**fields):
         (_corrupt_field_type, "last_index must be of type int"),
         (_corrupt_negative_index, "is negative"),
         (_corrupt_summary_state, "summary state is malformed"),
+        (_corrupt_state(total="21"), "summary state is malformed"),
+        (_corrupt_state(dk_counts={"2": "1"}), "summary state is malformed"),
         (_corrupt_state(skipped="xyz"), "[index, line] integer pairs"),
         (_corrupt_state(skipped=[[0, 1, 2]]), "[index, line] integer pairs"),
         (_corrupt_state(skipped=[[0, "1"]]), "[index, line] integer pairs"),

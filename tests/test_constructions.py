@@ -137,7 +137,7 @@ def test_minimal_33_blueprint_verdict_is_decided_by_validator():
 
 def test_blueprint_size_errors():
     verdict = validate_blueprint(D3Blueprint(2, 3, frozenset(), frozenset(), {}))
-    assert not verdict.ok
+    assert not verdict.ok and bool(verdict) is False
     assert any("a >= 3" in name for name, _ in verdict.violations)
     with pytest.raises(GraphError, match="a >= 3"):
         build_d3(D3Blueprint(2, 3, frozenset(), frozenset(), {}))
@@ -214,6 +214,7 @@ def test_enumerate_blueprints_limit_and_determinism():
     again = list(islice(enumerate_d3_blueprints(3, 4), 3))
     assert first == again and len(first) == 3
     assert all(validate_blueprint(bp).ok for bp in first)
+    assert all(bool(validate_blueprint(bp)) is True for bp in first)
 
 
 def test_blueprint_equality_and_hash_follow_the_normalized_fields():

@@ -216,6 +216,11 @@ def test_extend_connected_rejects_disconnected_parent():
         extend_connected([k2_plus_k1])
 
 
+def test_extend_connected_rejects_parents_of_two_orders():
+    with pytest.raises(GraphError, match="single order"):
+        extend_connected([from_edge_list(2, [(0, 1)]), from_edge_list(3, [(0, 1), (1, 2)])])
+
+
 def test_extend_connected_rejects_empty_input():
     with pytest.raises(GraphError, match="needs at least one input graph"):
         extend_connected([])

@@ -40,6 +40,8 @@ def test_from_edge_list_duplicates_collapse():
 def test_from_edge_list_rejects_out_of_range():
     with pytest.raises(GraphError, match=r"\(0, 5\)"):
         from_edge_list(3, [(0, 5)])
+    with pytest.raises(GraphError, match="vertex count"):
+        from_edge_list(-1, [])
 
 
 def test_from_edge_list_rejects_self_loop():

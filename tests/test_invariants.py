@@ -369,6 +369,10 @@ def test_coloring_canonical_order_and_assignment():
         Coloring.from_classes([[0], []])
     with pytest.raises(GraphError):
         col.assignment(3)
+    with pytest.raises(GraphError, match="do not cover"):
+        Coloring.from_classes([[0], [1]]).assignment(3)
+    with pytest.raises(GraphError, match="in no class"):
+        Coloring.from_classes([[0], [1]]).class_of(2)
 
 
 def test_chromatic_number_of_long_path_needs_no_recursion():
@@ -376,6 +380,15 @@ def test_chromatic_number_of_long_path_needs_no_recursion():
     chi, witness = chromatic_number(path)
     assert chi == 2
     assert witness == Coloring.from_classes([range(0, 2000, 2), range(1, 2000, 2)])
+
+
+def test_report_of_k2_1100_is_d2_with_the_bipartition_as_witness():
+    # the paper's planar D(2) family at scale: the dominator rule is read on
+    # a state of 1,102 vertices
+    g, _ = complete_bipartite(2, 1100)
+    report = compute_report(g)
+    assert report.dk == 2
+    assert report.chi_d_witness == Coloring.from_classes([range(2), range(2, 1102)])
 
 
 def test_max_clique_of_k1100_needs_no_recursion():

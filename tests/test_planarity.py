@@ -43,10 +43,12 @@ def test_k5_and_k33_witnesses():
     verdict = is_planar(K5)
     assert not verdict.planar and verdict.witness.kind == "K5"
     assert verify_kuratowski(K5, verdict.witness)
+    assert verdict.witness.edges == frozenset(K5.edges())  # 10 sorted pairs
     k33, _ = complete_bipartite(3, 3)
     verdict = is_planar(k33)
     assert not verdict.planar and verdict.witness.kind == "K33"
     assert verify_kuratowski(k33, verdict.witness)
+    assert verdict.witness.edges == frozenset(k33.edges())  # 9 sorted pairs
 
 
 def test_exhaustive_vs_minor_oracle_small():
@@ -190,6 +192,9 @@ def test_verify_kuratowski_rejects_tampering():
     bad = ((0, 2, 1),) + w.paths[1:]
     assert w.paths[0] == (0, 1)
     assert not verify_kuratowski(K5, KuratowskiWitness("K5", w.branch_vertices, bad))
+    # a branch vertex listed twice, as the sixth entry or among eight
+    for branch in ((0, 1, 2, 3, 4, 4), (0, 1, 2, 3, 4, 4, 4, 3)):
+        assert not verify_kuratowski(K5, KuratowskiWitness("K5", branch, w.paths))
 
     # K5 with edge 0-1 subdivided by vertex 5, which is also joined to 2 and 3
     g = from_edge_list(6, list(K5.edges()) + [(0, 5), (1, 5), (2, 5), (3, 5)])

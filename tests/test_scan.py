@@ -215,6 +215,19 @@ def test_resume_refuses_a_record_file_edited_in_place(tmp_path):
     assert out.read_text() == edited
 
 
+def test_resume_refuses_a_deleted_record_file(tmp_path):
+    lines = lines_for(5)
+    out = tmp_path / "records.jsonl"
+    cp = tmp_path / "cp.json"
+    scan_stream(lines[:10], checks=("invariants",), out_path=out, checkpoint_path=cp, source_id="n5")
+    checkpoint = cp.read_bytes()
+    out.unlink()
+    with pytest.raises(ScanError, match="checkpoint expects an existing record file"):
+        scan_stream(lines, checks=("invariants",), out_path=out, checkpoint_path=cp, source_id="n5")
+    # refused before anything is written
+    assert not out.exists() and cp.read_bytes() == checkpoint
+
+
 def test_resume_refuses_a_checkpoint_without_a_records_digest(tmp_path):
     lines = lines_for(4)
     out = tmp_path / "records.jsonl"
