@@ -61,6 +61,25 @@ class DEvenSpec:
         return self.n - 3 * self.k
 
 
+def _number_classes(
+    spec: DOddSpec | DEvenSpec, letters: str, last_letters: str
+) -> tuple[dict[str, int], list[list[int]]]:
+    """Number the roles of P_1..P_k class by class: P_i holds one vertex per
+    letter in letter order (P_k per letter of last_letters), and P_1 holds
+    the tail u_1..u_t right after its own letters. Returns role -> vertex and
+    the member lists of P_1..P_k."""
+    roles: dict[str, int] = {}
+    classes = []
+    for i in range(1, spec.k + 1):
+        names = [f"{c}{i}" for c in (letters if i < spec.k else last_letters)]
+        if i == 1:
+            names += [f"u{j}" for j in range(1, spec.t + 1)]
+        classes.append(list(range(len(roles), len(roles) + len(names))))
+        roles.update(zip(names, classes[-1]))
+    assert len(roles) == spec.n
+    return roles, classes
+
+
 def build_d_odd(spec: DOddSpec) -> tuple[Graph, VertexLabeling]:
     """Odd-parity family member on classes P_1..P_k.
 
@@ -71,20 +90,7 @@ def build_d_odd(spec: DOddSpec) -> tuple[Graph, VertexLabeling]:
     vertices; each u is also joined to y_2 and z_2.
     """
     k, n, t = spec.k, spec.n, spec.t
-    roles: dict[str, object] = {}
-    index = 0
-    for i in range(1, k):
-        for name in ("x", "y", "z", "w"):
-            roles[f"{name}{i}"] = index
-            index += 1
-        if i == 1:
-            for j in range(1, t + 1):
-                roles[f"u{j}"] = index
-                index += 1
-    roles[f"x{k}"] = index
-    index += 1
-    assert index == n
-
+    roles, classes = _number_classes(spec, "xyzw", "x")
     x = {i: roles[f"x{i}"] for i in range(1, k + 1)}
     y = {i: roles[f"y{i}"] for i in range(1, k)}
     z = {i: roles[f"z{i}"] for i in range(1, k)}
@@ -101,20 +107,14 @@ def build_d_odd(spec: DOddSpec) -> tuple[Graph, VertexLabeling]:
     edges += product(u, (y[2], z[2]))
 
     g = from_edge_list(n, edges)
-
-    groups: dict[str, object] = {
+    groups = {
         "X": [x[i] for i in range(1, k)],
         "Y": list(y.values()),
         "Z": list(z.values()),
         "W": list(w.values()),
         "U": u,
+        **{f"P{i}": members for i, members in enumerate(classes, 1)},
     }
-    for i in range(1, k):
-        members = [x[i], y[i], z[i], w[i]]
-        if i == 1:
-            members += u
-        groups[f"P{i}"] = members
-    groups[f"P{k}"] = [x[k]]
     labeling = VertexLabeling({**roles, **groups}, n=n)
     labeling.assert_disjoint(f"P{i}" for i in range(1, k + 1))
     return g, labeling
@@ -124,38 +124,22 @@ def build_d_even(spec: DEvenSpec) -> tuple[Graph, VertexLabeling]:
     """Even-parity family member: P_i = {x_i, y_i, z_i} (P_1 holds the tail),
     blocks P_{2i-1} x P_{2i} joined completely, x_1..x_k a clique."""
     k, n, t = spec.k, spec.n, spec.t
-    roles: dict[str, object] = {}
-    index = 0
-    classes: dict[int, list[int]] = {}
-    for i in range(1, k + 1):
-        members = []
-        for name in ("x", "y", "z"):
-            roles[f"{name}{i}"] = index
-            members.append(index)
-            index += 1
-        if i == 1:
-            for j in range(1, t + 1):
-                roles[f"u{j}"] = index
-                members.append(index)
-                index += 1
-        classes[i] = members
-    assert index == n
+    roles, classes = _number_classes(spec, "xyz", "xyz")
 
     edges = []
-    for i in range(1, k // 2 + 1):
-        edges += product(classes[2 * i], classes[2 * i - 1])
+    for lo, hi in zip(classes[::2], classes[1::2]):
+        edges += product(hi, lo)
     xs = [roles[f"x{i}"] for i in range(1, k + 1)]
     edges += combinations(xs, 2)
 
     g = from_edge_list(n, edges)
-    groups: dict[str, object] = {
+    groups = {
         "X": xs,
         "Y": [roles[f"y{i}"] for i in range(1, k + 1)],
         "Z": [roles[f"z{i}"] for i in range(1, k + 1)],
         "U": [roles[f"u{j}"] for j in range(1, t + 1)],
+        **{f"P{i}": members for i, members in enumerate(classes, 1)},
     }
-    for i in range(1, k + 1):
-        groups[f"P{i}"] = classes[i]
     labeling = VertexLabeling({**roles, **groups}, n=n)
     labeling.assert_disjoint(f"P{i}" for i in range(1, k + 1))
     return g, labeling

@@ -156,6 +156,11 @@ class ScanSummary:
         return summary
 
 
+def _tmp_sibling(path: str | Path) -> Path:
+    """The file a checkpoint save writes before renaming it onto `path`."""
+    return Path(path).with_suffix(Path(path).suffix + ".tmp")
+
+
 @dataclass(frozen=True)
 class Checkpoint:
     source_id: str
@@ -166,8 +171,7 @@ class Checkpoint:
     summary_state: dict
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
+        tmp = _tmp_sibling(path)
         tmp.write_text(json.dumps(asdict(self), sort_keys=True), encoding="utf-8")
         os.replace(tmp, path)
 
@@ -287,7 +291,8 @@ def scan_stream(
     the same source, the scan resumes after the last completed record and
     reproduces the aggregates exactly. jobs must be at least 1; more than
     one fans the checks out to a process pool of at most os.cpu_count()
-    workers.
+    workers. Paths that name one file, counting the .tmp file a checkpoint
+    save writes first, are refused before any file is read or written.
     """
     checks_t = tuple(c for c in KNOWN_CHECKS if c in set(checks))
     unknown = set(checks) - set(KNOWN_CHECKS)
@@ -295,6 +300,11 @@ def scan_stream(
         raise ScanError(f"unknown checks: {sorted(unknown)}")
     if jobs < 1:
         raise ScanError(f"jobs must be at least 1, got {jobs}")
+    tmp = None if checkpoint_path is None else _tmp_sibling(checkpoint_path)
+    written = [Path(p).resolve() for p in (out_path, summary_path, checkpoint_path, tmp) if p is not None]
+    for i, path in enumerate(written):
+        if path in written[:i]:
+            raise ScanError(f"two of the record, summary, checkpoint and checkpoint .tmp files are {path}")
 
     resume_from = -1
     summary = ScanSummary(source_id=source_id, checks=checks_t)

@@ -11,6 +11,7 @@ reader that `validate_blueprint` also calls, in constructions.py.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import permutations
@@ -179,8 +180,11 @@ def is_in_class_d3(g: Graph, deadline_secs: float | None = None) -> D3Blueprint 
     Candidate singleton-class vertices x3 are tried in increasing degree
     order. Only a connected G - x3 can match (y1 and y2 join V1 and V2), so
     its unique bipartition is tried in both orders. Raises DeadlineExceeded
-    once the optional budget runs out, checked per split.
+    once the optional budget runs out, checked per split; a NaN budget, which
+    never runs out, raises GraphError.
     """
+    if deadline_secs is not None and math.isnan(deadline_secs):
+        raise GraphError(f"deadline_secs must be a number, got {deadline_secs!r}")
     if g.n == 0 or not is_connected(g):
         raise GraphError("membership search requires a connected graph")
     if g.n < 7:

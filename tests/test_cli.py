@@ -87,6 +87,12 @@ def test_invariants_includes_witnesses(capsys):
     payload = json.loads(out)
     assert payload["witnesses"]["gamma"]["vertices"] == [0, 1]
     assert payload["witnesses"]["chi_d"] == [[0, 1], [2, 3]]
+    # K1 has no total dominating set and no dominated coloring
+    code, out, _ = run_cli(capsys, ["invariants", "@"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["gamma_t"] is None and payload["chi_dom"] is None
+    assert payload["witnesses"]["gamma_t"] is None and payload["witnesses"]["chi_dom"] is None
 
 
 def test_verify_theorem1_non_dk_is_usage_error(capsys):
@@ -387,10 +393,37 @@ def test_unwritable_output_paths_are_refused_first(capsys, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "paths",
+    [
+        ["--out", "x.jsonl", "--checkpoint", "x.jsonl"],
+        ["--out", "y.jsonl", "--summary", "y.jsonl"],
+        ["--summary", "z.csv", "--checkpoint", "z.csv"],
+        ["--out", "cp.json.tmp", "--checkpoint", "cp.json"],  # save writes cp.json.tmp first
+    ],
+)
+def test_scan_refuses_two_outputs_that_name_one_file(capsys, tmp_path, monkeypatch, paths):
+    # refused before a checkpoint is read or a file is opened, whether or
+    # not the files exist yet; the error names the shared file
+    monkeypatch.chdir(tmp_path)
+    names = sorted(set(paths[1::2]))
+    for existing in ([], names):
+        for name in existing:
+            (tmp_path / name).write_bytes(b"kept\n")
+        code, stdout, err = run_cli(capsys, ["scan", "--builtin", "5", *paths])
+        assert code == 2 and stdout == "" and err.count("\n") == 1
+        assert err.startswith("error:") and str(tmp_path.resolve() / paths[1]) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == existing
+        assert all((tmp_path / name).read_bytes() == b"kept\n" for name in existing)
+
+
 def test_deadline_env_rejected_when_malformed(capsys, monkeypatch):
     monkeypatch.setenv("DOMCHROM_DEADLINE_SECS", "soon")
     code, _out, err = run_cli(capsys, ["verify", "--d3-membership", D_ODD_3_9_G6])
     assert code == 2 and "DOMCHROM_DEADLINE_SECS" in err
+    monkeypatch.setenv("DOMCHROM_DEADLINE_SECS", "nan")
+    code, out, err = run_cli(capsys, ["verify", "--d3-membership", D_ODD_3_9_G6])
+    assert code == 2 and out == "" and err.startswith("error:") and "nan" in err
 
 
 def test_jobs_env_rejected_when_malformed(capsys, monkeypatch):

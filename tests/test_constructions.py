@@ -1,4 +1,5 @@
 import hashlib
+import json
 from itertools import islice, product
 from types import MappingProxyType
 
@@ -16,7 +17,8 @@ from domchrom.constructions import (
     enumerate_d3_blueprints,
     validate_blueprint,
 )
-from domchrom.graphs import GraphError, from_edge_list
+from domchrom.graph6 import to_graph6
+from domchrom.graphs import GraphError, from_edge_list, to_dot
 from domchrom.invariants import compute_report, is_dominating_set
 
 
@@ -107,6 +109,19 @@ def test_d_even_spec_errors():
         DEvenSpec(2, 6)
     with pytest.raises(GraphError, match="3k = 12"):
         DEvenSpec(4, 11)
+
+
+def test_family_outputs_are_pinned():
+    # graph6, labeling JSON and DOT of 48 family members, in this order
+    specs = [(build_d_odd, DOddSpec(k, n)) for k in (3, 5, 7, 9) for n in range(4 * k - 3, 4 * k + 3)]
+    specs += [(build_d_even, DEvenSpec(k, n)) for k in (4, 6, 8, 10) for n in range(3 * k, 3 * k + 6)]
+    digest = hashlib.sha256()
+    for build, spec in specs:
+        g, lab = build(spec)
+        text = to_graph6(g) + json.dumps(lab.to_dict(), sort_keys=True) + to_dot(g, lab)
+        digest.update(text.encode("utf-8"))
+    assert len(specs) == 48
+    assert digest.hexdigest() == "9d2ab4e312ad1490d0e939467f738814d90cf87ea7c34fce5de159e209925421"
 
 
 def test_constructions_classify_as_dk():

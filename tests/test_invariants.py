@@ -5,7 +5,7 @@ import pytest
 import oracles as naive
 from domchrom.constructions import DEvenSpec, DOddSpec, build_d_even, build_d_odd
 from domchrom.enumeration import enumerate_connected
-from domchrom.graphs import GraphError, complete_bipartite, from_edge_list, is_connected
+from domchrom.graphs import Graph, GraphError, complete_bipartite, from_edge_list, is_connected
 from domchrom.invariants import (
     Coloring,
     DisconnectedError,
@@ -18,6 +18,7 @@ from domchrom.invariants import (
     dominator_chromatic_number,
     domination_number,
     enumerate_optimal_dominator_colorings,
+    invariant_values,
     is_dominated_coloring,
     is_dominating_set,
     is_dominator_coloring,
@@ -157,6 +158,23 @@ def test_disconnected_rejections():
     # gamma and chi stay defined on disconnected input
     assert domination_number(g)[0] == 2
     assert chromatic_number(g)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (domination_number, "domination number"),
+        (total_domination_number, "total domination number"),
+        (chromatic_number, "chromatic number"),
+        (dominator_chromatic_number, "dominator chromatic number"),
+        (dominated_chromatic_number, "dominated chromatic number"),
+        (compute_report, "an invariant report"),
+        (invariant_values, "the invariants"),
+    ],
+)
+def test_empty_graph_is_refused(call, what):
+    with pytest.raises(GraphError, match=f"^{what} (is|are) undefined for the empty graph$"):
+        call(Graph(0, ()))
 
 
 def test_classify_examples():

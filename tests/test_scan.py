@@ -99,6 +99,17 @@ def test_scan_skips_graphs_a_check_rejects(jobs):
         scan_stream(lines, checks=checks, source_id="d3", strict=True, jobs=jobs)
 
 
+def test_scan_theorem1_in_process():
+    # jobs=1 evaluates in this process, so the theorem1 check runs here too
+    lines = [line for n in range(2, 6) for line in lines_for(n)]
+    sink = []
+    scan_stream(lines, checks=("theorem1",), records_sink=sink, source_id="n2-5", jobs=1)
+    assert len(lines) == len(sink) == 30
+    dk2 = [r for r in sink if r.fields["dk"] == 2]
+    assert len(dk2) == 2 and all(r.fields["theorem1_ok"] is True for r in dk2)
+    assert all(r.fields["theorem1_ok"] is None for r in sink if r not in dk2)
+
+
 def test_scan_jobs_deterministic(tmp_path):
     lines = lines_for(6)
     outputs = []

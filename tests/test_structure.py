@@ -310,6 +310,9 @@ def test_membership_deadline():
     godd, _ = build_d_odd(DOddSpec(3, 13))
     with pytest.raises(DeadlineExceeded):
         is_in_class_d3(godd, deadline_secs=-1.0)
+    # no clock reading exceeds NaN, so it would turn the budget off
+    with pytest.raises(GraphError, match="nan"):
+        is_in_class_d3(godd, deadline_secs=float("nan"))
 
 
 def test_membership_deadline_checked_within_one_candidate(monkeypatch):
