@@ -3,10 +3,12 @@
 Covers: the two-part optimal-coloring property (every class dominated,
 every vertex dominates exactly one class), total dominating transversals,
 domination chains between color classes, and membership in the rule-based
-three-class family. Membership fixes y1 and y2 once per split of G - x3 and
-tries each (x1, y3) pair; it accepts the blueprint read off the roles when
-its edge rules rebuild G and G passes `_rule_violations`, the class-rule
-reader that `validate_blueprint` also calls, in constructions.py.
+three-class family. Membership tries as x3 only the vertices on every odd
+cycle it finds, since G - x3 must be bipartite. It fixes y1 and y2 once per
+split of G - x3 and tries each (x1, y3) pair; it accepts the blueprint read
+off the roles when its edge rules rebuild G and G passes `_rule_violations`,
+the class-rule reader that `validate_blueprint` also calls, in
+constructions.py.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .constructions import (
     _blueprint_graph,
     _rule_violations,
 )
-from .graphs import Graph, GraphError, bipartition, is_connected, iter_bits
+from .graphs import Graph, GraphError, _bfs_layers, bipartition, is_connected, iter_bits
 from .invariants import Coloring, InvariantReport, _dominators, _report, is_proper_coloring
 
 
@@ -177,11 +179,14 @@ def is_in_class_d3(g: Graph, deadline_secs: float | None = None) -> D3Blueprint 
     """Search all role assignments for one under which G matches the
     three-class construction rules; returns the extracted blueprint or None.
 
-    Candidate singleton-class vertices x3 are tried in increasing degree
-    order. Only a connected G - x3 can match (y1 and y2 join V1 and V2), so
-    its unique bipartition is tried in both orders. Raises DeadlineExceeded
-    once the optional budget runs out, checked per split; a NaN budget, which
-    never runs out, raises GraphError.
+    Candidate singleton-class vertices x3 are the vertices on every odd
+    cycle `_odd_cycle_meet` finds, since G - x3 must be bipartite; they are
+    tried in increasing degree order. A bipartite G has none, and no member
+    is bipartite: x3, x1 in V1, y3 in V2 and the odd path from x1 to y3 in
+    G - x3 would close an odd cycle. Only a connected G - x3 can match (y1 and y2 join V1 and V2), so its
+    unique bipartition is tried in both orders. Raises DeadlineExceeded once
+    the optional budget runs out, checked per split, so never on a graph with
+    no candidate; a NaN budget, which never runs out, raises GraphError.
     """
     if deadline_secs is not None and math.isnan(deadline_secs):
         raise GraphError(f"deadline_secs must be a number, got {deadline_secs!r}")
@@ -191,7 +196,7 @@ def is_in_class_d3(g: Graph, deadline_secs: float | None = None) -> D3Blueprint 
         return None
     deadline = None if deadline_secs is None else time.monotonic() + deadline_secs
     full = (1 << g.n) - 1
-    for x3 in sorted(range(g.n), key=lambda v: (g.degree(v), v)):
+    for x3 in sorted(iter_bits(_odd_cycle_meet(g)), key=lambda v: (g.degree(v), v)):
         sides = bipartition(g, full & ~(1 << x3))
         if sides is None:
             continue
@@ -204,6 +209,38 @@ def is_in_class_d3(g: Graph, deadline_secs: float | None = None) -> D3Blueprint 
             if bp is not None:
                 return bp
     return None
+
+
+def _odd_cycle_meet(g: Graph) -> int:
+    """A mask holding every vertex x of the connected G with G - x bipartite:
+    the vertices common to all triangles, else those of one odd cycle; 0 when
+    G is bipartite. Each such x lies on every odd cycle."""
+    adj = g.adj
+    meet = -1  # every vertex, until the first triangle
+    for u in range(g.n):
+        for v in iter_bits(adj[u] & -(2 << u)):
+            for w in iter_bits(adj[u] & adj[v] & -(2 << v)):  # triangles u < v < w
+                meet &= 1 << u | 1 << v | 1 << w
+                if not meet:
+                    return 0
+    if meet != -1:
+        return meet
+    # no triangle: an edge inside a BFS layer closes an odd cycle through the
+    # two endpoints' paths up to where they meet
+    layers = _bfs_layers(g, (1 << g.n) - 1)
+    for depth, layer in enumerate(layers):
+        for a in iter_bits(layer):
+            inside = adj[a] & layer
+            if inside:
+                b = (inside & -inside).bit_length() - 1
+                cycle = 1 << a | 1 << b
+                while a != b:
+                    depth -= 1
+                    ups = adj[a] & layers[depth], adj[b] & layers[depth]
+                    a, b = ((m & -m).bit_length() - 1 for m in ups)
+                    cycle |= 1 << a | 1 << b
+                return cycle
+    return 0
 
 
 def _match_roles(g: Graph, x3: int, v1_mask: int, v2_mask: int) -> D3Blueprint | None:

@@ -12,7 +12,7 @@ from domchrom.cli import main
 from domchrom.constructions import DOddSpec, build_d3, build_d_odd, enumerate_d3_blueprints
 from domchrom.enumeration import are_isomorphic, enumerate_connected
 from domchrom.graph6 import parse_graph6, to_graph6
-from domchrom.graphs import complete_bipartite
+from domchrom.graphs import complete_bipartite, from_edge_list
 
 D_ODD_3_9_G6 = to_graph6(build_d_odd(DOddSpec(3, 9))[0])
 K22_G6 = to_graph6(complete_bipartite(2, 2)[0])
@@ -424,6 +424,18 @@ def test_deadline_env_rejected_when_malformed(capsys, monkeypatch):
     monkeypatch.setenv("DOMCHROM_DEADLINE_SECS", "nan")
     code, out, err = run_cli(capsys, ["verify", "--d3-membership", D_ODD_3_9_G6])
     assert code == 2 and out == "" and err.startswith("error:") and "nan" in err
+
+
+def test_spent_deadline_exits_2_only_where_a_split_is_tried(capsys, monkeypatch):
+    # a bipartite graph has no candidate x3, so no split reads the spent
+    # budget: P8 is decided (exit 1); d_odd(3,13) reaches a split (exit 2)
+    monkeypatch.setenv("DOMCHROM_DEADLINE_SECS", "-1")
+    path8 = to_graph6(from_edge_list(8, [(i, i + 1) for i in range(7)]))
+    code, out, err = run_cli(capsys, ["verify", "--d3-membership", path8])
+    assert code == 1 and err == "" and json.loads(out)["verdict"] is False
+    d_odd_3_13 = to_graph6(build_d_odd(DOddSpec(3, 13))[0])
+    code, out, err = run_cli(capsys, ["verify", "--d3-membership", d_odd_3_13])
+    assert code == 2 and out == "" and "deadline" in err
 
 
 def test_jobs_env_rejected_when_malformed(capsys, monkeypatch):

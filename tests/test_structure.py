@@ -16,7 +16,14 @@ from domchrom.constructions import (
 )
 from domchrom.enumeration import are_isomorphic, canonical_form, enumerate_connected
 from domchrom.graph6 import parse_graph6
-from domchrom.graphs import Graph, GraphError, complete_bipartite, from_edge_list, is_connected
+from domchrom.graphs import (
+    Graph,
+    GraphError,
+    bipartition,
+    complete_bipartite,
+    from_edge_list,
+    is_connected,
+)
 from domchrom.invariants import Coloring, is_total_dominating_set
 from oracles import (
     blocks_are_independent,
@@ -25,6 +32,7 @@ from oracles import (
 )
 from domchrom.structure import (
     DeadlineExceeded,
+    _odd_cycle_meet,
     _theorem1_tally,
     check_theorem1,
     find_chain,
@@ -296,6 +304,81 @@ def test_membership_rejections():
     assert is_in_class_d3(from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])) is None
     with pytest.raises(GraphError, match="connected"):
         is_in_class_d3(from_edge_list(8, [(0, 1), (2, 3)]))
+
+
+def _random_connected(rng, n, p):
+    while True:
+        g = from_edge_list(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        if is_connected(g):
+            return g
+
+
+def test_odd_cycle_meet_holds_every_vertex_whose_deletion_leaves_a_bipartite_graph():
+    # G - x bipartite puts x on every odd cycle of a non-bipartite G
+    rng = random.Random(19)
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    graphs += [parse_graph6(line) for line in ORDER8.read_text().split()]
+    graphs += [
+        _random_connected(rng, rng.randint(5, 16), rng.uniform(0.15, 0.6)) for _ in range(2000)
+    ]
+    triangle_free_odd = 0
+    for g in graphs:
+        full = (1 << g.n) - 1
+        meet = _odd_cycle_meet(g)
+        assert meet & ~full == 0
+        if bipartition(g, full) is not None:
+            assert meet == 0
+            continue
+        for x in range(g.n):
+            if bipartition(g, full & ~(1 << x)) is not None:
+                assert meet >> x & 1, (g.n, g.adj, x)
+        triangle_free_odd += not any(g.adj[u] & g.adj[v] for u, v in g.edges())
+    # the odd-cycle branch, not only the triangle one, is exercised
+    assert triangle_free_odd > 50
+
+
+def test_odd_cycle_meet_of_named_graphs():
+    petersen = from_edge_list(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)],
+    )
+    assert _odd_cycle_meet(petersen).bit_count() == 5  # one 5-cycle, no triangle
+    assert _odd_cycle_meet(from_edge_list(7, [(i, (i + 1) % 7) for i in range(7)])) == 0b1111111
+    joined = from_edge_list(
+        8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7)]
+    )
+    assert _odd_cycle_meet(joined) == 0
+    assert _odd_cycle_meet(TRIANGLE_PENDANT) == 0b0111
+    assert _odd_cycle_meet(complete_bipartite(3, 4)[0]) == 0
+
+
+def test_membership_bipartitions_only_the_odd_cycle_meet(monkeypatch):
+    # over the order-8 stream, every vertex of every graph would take 88,929
+    # bipartitions of G - x3; the meet of the odd cycles leaves these
+    import domchrom.structure as structure
+
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return bipartition(*args)
+
+    monkeypatch.setattr(structure, "bipartition", counted)
+    members = [line for line in ORDER8.read_text().split()
+               if is_in_class_d3(parse_graph6(line)) is not None]
+    assert members == ["Gia@xw"]
+    assert calls[0] == 4323
+
+
+def test_membership_of_bipartite_graphs_spends_no_budget():
+    # a bipartite G has no candidate x3, so no split reads the deadline
+    path8 = from_edge_list(8, [(i, i + 1) for i in range(7)])
+    assert is_in_class_d3(path8, deadline_secs=-1.0) is None
+    assert is_in_class_d3(complete_bipartite(3, 4)[0], deadline_secs=-1.0) is None
 
 
 def test_membership_of_d_odd_3_9():
