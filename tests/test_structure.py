@@ -317,8 +317,24 @@ def _random_connected(rng, n, p):
 
 def test_odd_cycle_meet_holds_every_vertex_whose_deletion_leaves_a_bipartite_graph():
     # G - x bipartite puts x on every odd cycle of a non-bipartite G
+    petersen = from_edge_list(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)],
+    )
+    c7 = from_edge_list(7, [(i, (i + 1) % 7) for i in range(7)])
+    joined = from_edge_list(
+        8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7)]
+    )
+    k34 = complete_bipartite(3, 4)[0]
+    assert _odd_cycle_meet(petersen).bit_count() == 5  # one 5-cycle, no triangle
+    assert _odd_cycle_meet(c7) == 0b1111111
+    assert _odd_cycle_meet(joined) == 0 == _odd_cycle_meet(k34)
+    assert _odd_cycle_meet(TRIANGLE_PENDANT) == 0b0111
     rng = random.Random(19)
-    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    graphs = [petersen, c7, joined, k34]
+    graphs += [g for n in range(1, 8) for g in enumerate_connected(n)]
     graphs += [parse_graph6(line) for line in ORDER8.read_text().split()]
     graphs += [
         _random_connected(rng, rng.randint(5, 16), rng.uniform(0.15, 0.6)) for _ in range(2000)
@@ -337,23 +353,6 @@ def test_odd_cycle_meet_holds_every_vertex_whose_deletion_leaves_a_bipartite_gra
         triangle_free_odd += not any(g.adj[u] & g.adj[v] for u, v in g.edges())
     # the odd-cycle branch, not only the triangle one, is exercised
     assert triangle_free_odd > 50
-
-
-def test_odd_cycle_meet_of_named_graphs():
-    petersen = from_edge_list(
-        10,
-        [(i, (i + 1) % 5) for i in range(5)]
-        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        + [(i, i + 5) for i in range(5)],
-    )
-    assert _odd_cycle_meet(petersen).bit_count() == 5  # one 5-cycle, no triangle
-    assert _odd_cycle_meet(from_edge_list(7, [(i, (i + 1) % 7) for i in range(7)])) == 0b1111111
-    joined = from_edge_list(
-        8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7)]
-    )
-    assert _odd_cycle_meet(joined) == 0
-    assert _odd_cycle_meet(TRIANGLE_PENDANT) == 0b0111
-    assert _odd_cycle_meet(complete_bipartite(3, 4)[0]) == 0
 
 
 def test_membership_bipartitions_only_the_odd_cycle_meet(monkeypatch):
