@@ -183,10 +183,11 @@ def is_in_class_d3(g: Graph, deadline_secs: float | None = None) -> D3Blueprint 
     cycle `_odd_cycle_meet` finds, since G - x3 must be bipartite; they are
     tried in increasing degree order. A bipartite G has none, and no member
     is bipartite: x3, x1 in V1, y3 in V2 and the odd path from x1 to y3 in
-    G - x3 would close an odd cycle. Only a connected G - x3 can match (y1 and y2 join V1 and V2), so its
-    unique bipartition is tried in both orders. Raises DeadlineExceeded once
-    the optional budget runs out, checked per split, so never on a graph with
-    no candidate; a NaN budget, which never runs out, raises GraphError.
+    G - x3 would close an odd cycle. Only a connected G - x3 can match (y1
+    and y2 join V1 and V2), so its unique bipartition is tried in both
+    orders. Raises DeadlineExceeded once the optional budget runs out,
+    checked per split, so never on a graph with no candidate; a NaN budget,
+    which never runs out, raises GraphError.
     """
     if deadline_secs is not None and math.isnan(deadline_secs):
         raise GraphError(f"deadline_secs must be a number, got {deadline_secs!r}")
