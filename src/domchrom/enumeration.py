@@ -33,17 +33,21 @@ distinct codes number A001349(n)), a child is kept only if its new vertex
 lies in the orbit of its canonical deletion vertex, the non-cut vertex of
 largest (degree, sum of neighbour degrees), ties going to the one placed
 first in the canonical order (canonical augmentation; McKay,
-"Isomorph-free exhaustive generation", 1998). Most children are settled by
-the keys alone, so only the kept ones and a few ties are canonicalized. On
-fewer classes every child is canonicalized. Larger orders stream external
-graph6 input, which `extend_connected` can make one order at a time.
+"Isomorph-free exhaustive generation", 1998). The keys and the cut-vertex
+test of every child follow from tables made once per parent (its degrees,
+neighbour-degree sums and the components left by deleting each vertex) and
+the new neighbourhood alone, so a child is built only when its new vertex
+survives them, and only the kept ones and a few ties are canonicalized. On
+fewer classes every child is built and canonicalized. Larger orders stream
+external graph6 input, which `extend_connected` can make one order at a
+time.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, GraphError, is_connected, iter_bits
+from .graphs import Graph, GraphError, _bfs_layers, is_connected, iter_bits
 
 MAX_BUILTIN_ORDER = 7
 
@@ -263,50 +267,82 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
             and canonical_form(g) == canonical_form(h))
 
 
-def _augmentation_code(h: Graph) -> int:
-    """h's canonical code if its last vertex lies in the Aut(h) orbit of
-    h's canonical deletion vertex, else -1.
+_Tables = tuple[list[int], list[int], list[list[int]], list[int]]
+
+
+def _parent_tables(g: Graph) -> _Tables:
+    """Per vertex v of the connected parent g: its degree, the sum of its
+    neighbours' degrees and the vertex masks of the components of g - v;
+    then per d in 0..n+1 the mask of the vertices of degree at least d."""
+    n = g.n
+    deg = [row.bit_count() for row in g.adj]
+    nsum = [sum(deg[u] for u in iter_bits(row)) for row in g.adj]
+    full = (1 << n) - 1
+    comps = []
+    for v in range(n):
+        rest = full ^ 1 << v
+        parts = []
+        while rest:
+            part = sum(_bfs_layers(g, rest))
+            parts.append(part)
+            rest ^= part
+        comps.append(parts)
+    at_least = [sum(1 << v for v, dv in enumerate(deg) if dv >= d) for d in range(n + 2)]
+    return deg, nsum, comps, at_least
+
+
+def _deletion_screen(adj: Sequence[int], tables: _Tables, nbhd: int) -> list[int] | None:
+    """The deletion-vertex test for the child of the parent with rows adj
+    whose new vertex n = len(adj) is joined to nbhd, read from the parent's
+    `_parent_tables` and nbhd alone.
 
     The canonical deletion vertex is the non-cut vertex with the largest key
     (degree, sum of neighbour degrees), ties going to the one placed first
-    in the canonical order. The last vertex is never a cut vertex, since
-    removing it leaves the connected parent, and only the vertices whose key
-    is at least its key are tested.
+    in the canonical order. Gives None when a non-cut vertex of the child
+    has a larger key than n, else the non-cut vertices whose key equals n's,
+    by increasing label and n last. In the child, v < n has degree deg[v]
+    plus [v in nbhd] and neighbour-degree sum nsum[v] + |adj[v] & nbhd| plus
+    |nbhd| if v is in nbhd; n has degree |nbhd| and sum the degrees of nbhd
+    plus |nbhd|. v is a non-cut vertex exactly when nbhd meets every
+    component of the parent less v, and n never is a cut vertex.
     """
-    adj = h.adj
-    last = h.n - 1
-    deg = [row.bit_count() for row in adj]
-    top = deg[last]
-    top_sum = -1
-    full = (1 << h.n) - 1
-    tied = [last]
-    for v in range(last):
-        if deg[v] < top:
-            continue
-        larger = deg[v] > top
-        if not larger:
-            if top_sum < 0:
-                top_sum = sum(deg[u] for u in iter_bits(adj[last]))
-            total = sum(deg[u] for u in iter_bits(adj[v]))
+    deg, nsum, comps, at_least = tables
+    top = nbhd.bit_count()
+    above = at_least[top + 1] | nbhd & at_least[top]
+    level = (at_least[top] | nbhd & at_least[top - 1]) & ~above
+    x = above
+    while x:
+        low = x & -x
+        x ^= low
+        for c in comps[low.bit_length() - 1]:
+            if not c & nbhd:
+                break
+        else:
+            return None
+    tied = []
+    if level:
+        top_sum = top + sum(deg[u] for u in iter_bits(nbhd))
+        while level:
+            low = level & -level
+            level ^= low
+            v = low.bit_length() - 1
+            total = nsum[v] + (adj[v] & nbhd).bit_count() + (top if nbhd & low else 0)
             if total < top_sum:
                 continue
-            larger = total > top_sum
-        # v is a cut vertex when a traversal of the rest misses some vertex
-        rest = full ^ 1 << v
-        seen = frontier = rest & -rest
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                reach |= adj[low.bit_length() - 1]
-            frontier = reach & rest & ~seen
-            seen |= frontier
-        if seen != rest:
-            continue
-        if larger:
-            return -1
-        tied.append(v)
+            for c in comps[v]:
+                if not c & nbhd:
+                    break
+            else:
+                if total > top_sum:
+                    return None
+                tied.append(v)
+    tied.append(len(adj))
+    return tied
+
+
+def _augmentation_code(h: Graph, tied: list[int]) -> int:
+    """h's canonical code if its last vertex lies in the Aut(h) orbit of
+    the tied vertex placed first in the canonical order, else -1."""
     if len(tied) == 1:
         return canonical_form(h)
     code, automorphisms, order = _labelled_search(h)
@@ -320,7 +356,7 @@ def _augmentation_code(h: Graph) -> int:
             if not orbit >> w & 1:
                 orbit |= 1 << w
                 todo.append(w)
-    return code if orbit >> last & 1 else -1
+    return code if orbit >> h.n - 1 & 1 else -1
 
 
 def _distinct_parents(
@@ -355,20 +391,28 @@ def _children(
     When the parents cover every connected class on n vertices, a child is
     kept only if n lies in the orbit of its canonical deletion vertex
     (canonical augmentation; McKay, "Isomorph-free exhaustive generation",
-    1998), so each class on n+1 vertices comes out once. On fewer classes
-    that would drop the children whose canonical parent is missing, so there
-    every child is kept.
+    1998), so each class on n+1 vertices comes out once. The deletion-vertex
+    keys and cut test come from `_parent_tables`, made once per parent, and
+    the child is built only when `_deletion_screen` leaves n among the tied
+    vertices. On fewer classes that would drop the children whose canonical
+    parent is missing, so there every child is built and kept.
     """
-    code_of = _augmentation_code if len(parents) == _CLASS_COUNTS.get(n) else canonical_form
+    complete = len(parents) == _CLASS_COUNTS.get(n)
     for g, automorphisms in parents:
+        tables = _parent_tables(g) if complete else None
+        edges = g.edge_count()
         for nbhd in _orbit_representatives(n, automorphisms):
+            if complete:
+                tied = _deletion_screen(g.adj, tables, nbhd)
+                if tied is None:
+                    continue
             rows = list(g.adj) + [nbhd]
             for v in iter_bits(nbhd):
                 rows[v] |= 1 << n
             h = Graph(n + 1, rows, _checked=True)
-            code = code_of(h)
+            code = _augmentation_code(h, tied) if complete else canonical_form(h)
             if code >= 0:
-                yield code, h.edge_count()
+                yield code, edges + nbhd.bit_count()
 
 
 def extend_connected(graphs: Sequence[Graph]) -> list[Graph]:

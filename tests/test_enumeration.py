@@ -6,11 +6,15 @@ from itertools import combinations, permutations
 import pytest
 
 import oracles as naive
+from domchrom import enumeration
 from domchrom.enumeration import (
     _CLASS_COUNTS,
     CONNECTED_COUNTS,
     _children,
+    _deletion_screen,
     _distinct_parents,
+    _orbit_representatives,
+    _parent_tables,
     _refined_cells,
     _search,
     are_isomorphic,
@@ -363,3 +367,85 @@ def test_canonical_augmentation_accepts_each_class_exactly_once(n):
     assert len(set(codes)) == len(codes) == _CLASS_COUNTS[n + 1]
     if n + 1 in CONNECTED_COUNTS:
         assert set(codes) == {canonical_form(g) for g in enumerate_connected(n + 1)}
+
+
+def _child(g, nbhd):
+    rows = list(g.adj) + [nbhd]
+    for v in iter_bits(nbhd):
+        rows[v] |= 1 << g.n
+    return Graph(g.n + 1, rows)
+
+
+def _deletion_outcome(g, nbhd):
+    """The deletion-vertex test from the child's own rows: None when a
+    non-cut vertex has a larger (degree, neighbour-degree sum) than the new
+    vertex n, else the non-cut vertices whose key equals n's."""
+    h = _child(g, nbhd)
+    n = g.n
+    key = [(h.degree(v), sum(h.degree(u) for u in h.neighbors(v))) for v in range(n + 1)]
+    non_cut = [
+        v for v in range(n + 1) if is_connected(h.subgraph(u for u in range(n + 1) if u != v))
+    ]
+    if any(key[v] > key[n] for v in non_cut):
+        return None
+    return [v for v in non_cut if key[v] == key[n]]
+
+
+@pytest.mark.parametrize(
+    "parents, count",
+    [
+        pytest.param(
+            lambda: [g for n in range(1, 7) for g in enumerate_connected(n)], 4159, id="n<=6"
+        ),
+        pytest.param(lambda: enumerate_connected(7)[::10], 6908, id="every-10th-order-7"),
+    ],
+)
+def test_deletion_screen_equals_the_childs_own_keys_and_cut_vertices(parents, count):
+    outcomes = []
+    for g in parents():
+        tables = _parent_tables(g)
+        for nbhd in _orbit_representatives(g.n, _search(g)[1]):
+            got = _deletion_screen(g.adj, tables, nbhd)
+            assert got == _deletion_outcome(g, nbhd), (g.adj, nbhd)
+            outcomes.append(got)
+    assert len(outcomes) == count
+    assert None in outcomes and any(len(tied) > 1 for tied in outcomes if tied)
+
+
+@pytest.mark.parametrize(
+    "g, nbhd, cut, tied",
+    [
+        # K2: each vertex is a non-cut vertex of key (1, 1)
+        pytest.param(Graph(1, [0]), 0b1, None, [0, 1], id="K1-parent"),
+        # the new vertex 4 joins the centre and leaf 1 of K1,3; the centre has
+        # the largest degree but leaves 2 and 3 hanging from it
+        pytest.param(
+            from_edge_list(4, [(0, 1), (0, 2), (0, 3)]), 0b0011, 0, [1, 4], id="star-centre"
+        ),
+        # 4 hangs from vertex 1 of the path 0-1-2-3; 1 and 2 have larger degree
+        # than 4, but each separates the rest
+        pytest.param(from_edge_list(4, [(0, 1), (1, 2), (2, 3)]), 0b0010, 2, [0, 4], id="path"),
+    ],
+)
+def test_deletion_screen_named_cases(g, nbhd, cut, tied):
+    tables = _parent_tables(g)
+    assert _deletion_screen(g.adj, tables, nbhd) == _deletion_outcome(g, nbhd) == tied
+    if cut is not None:
+        # nbhd misses a component of g - cut, so cut is a cut vertex of the child
+        assert any(not c & nbhd for c in tables[2][cut])
+        h = _child(g, nbhd)
+        assert h.degree(cut) > h.degree(g.n)
+        assert not is_connected(h.subgraph(v for v in range(g.n + 1) if v != cut))
+
+
+def test_extension_of_order_7_canonicalizes_only_kept_and_tied_children(monkeypatch):
+    parents = enumerate_connected(7)
+    orders = []
+    search = enumeration._labelled_search
+    monkeypatch.setattr(
+        enumeration, "_labelled_search", lambda g: orders.append(g.n) or search(g)
+    )
+    assert len(extend_connected(parents)) == _CLASS_COUNTS[8]
+    # the 853 parents, then 12,106 children: 11,117 kept, 989 tied and rejected
+    assert len(orders) == 12959
+    assert orders.count(7) == 853 and orders.count(8) == 12106

@@ -12,7 +12,9 @@ run so that an interrupted recording keeps what it has, holds each side's
 commit, the Python version, the CPU count and every run's last-line JSON.
 Per workload it also holds each side's median and quartiles of every
 end-to-end metric, the number of pairs the last side won, and each side's
-median of every per-layer metric over its traced runs.
+median of every per-layer metric over its traced runs. A run that exits
+non-zero or reports `"correct": false` stops the recording with an error
+naming its side, workload and seed; the file keeps the runs before it.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ def _seeds(text: str) -> list[int]:
     return seeds
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def _run(side: str, checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One run's last-line JSON; exits when the run fails or reports a
+    wrong result, so that no such run reaches the file or its summary."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
@@ -63,7 +67,14 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
         sys.exit(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if result.get("correct") is not True:
+        sys.exit(
+            f"side {side}, workload {workload}, seed {seed}, trace {trace}: run.py in "
+            f"{checkout} reported correct={result.get('correct')} with "
+            f"{result.get('failed')} of {result.get('attempted')} checks failed"
+        )
+    return result
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -161,7 +172,7 @@ def main(argv=None) -> int:
     path = args.out / f"BENCH_{args.label}.json"
     for side, workload, seed, trace in plan:
         print(f"{side} {workload} seed {seed} trace {trace}", file=sys.stderr, flush=True)
-        result = _run(checkouts[side], workload, seed, args.seconds, trace)
+        result = _run(side, checkouts[side], workload, seed, args.seconds, trace)
         record["runs"].append(
             {"side": side, "workload": workload, "seed": seed, "trace": trace, "result": result}
         )
