@@ -72,7 +72,7 @@ def _run(side: str, checkout: Path, workload: str, seed: int, seconds: float, tr
         sys.exit(
             f"side {side}, workload {workload}, seed {seed}, trace {trace}: run.py in "
             f"{checkout} reported correct={result.get('correct')} with "
-            f"{result.get('failed')} of {result.get('attempted')} checks failed"
+            f"{result.get('failed')} of {result.get('attempted')} operations failed"
         )
     return result
 
