@@ -37,17 +37,18 @@ first in the canonical order (canonical augmentation; McKay,
 test of every child follow from tables made once per parent (its degrees,
 neighbour-degree sums and the components left by deleting each vertex) and
 the new neighbourhood alone, so a child is built only when its new vertex
-survives them, and only the kept ones and a few ties are canonicalized. On
-fewer classes every child is built and canonicalized. Larger orders stream
-external graph6 input, which `extend_connected` can make one order at a
-time.
+survives them, and only the kept ones and a few ties are canonicalized.
+Every child takes that one path: on fewer classes the screen is skipped and
+the new vertex is each child's only deletion candidate, so every child is
+built, canonicalized and kept. Larger orders stream external graph6 input,
+which `extend_connected` can make one order at a time.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, GraphError, _bfs_layers, is_connected, iter_bits
+from .graphs import Graph, GraphError, connected_component_masks, is_connected, iter_bits
 
 MAX_BUILTIN_ORDER = 7
 
@@ -201,15 +202,9 @@ def _labelled_search(g: Graph) -> tuple[int, list[list[int]], list[int]]:
     return best, automorphisms, best_order
 
 
-def _search(g: Graph) -> tuple[int, list[list[int]]]:
-    """The canonical code of g, and the automorphisms its search met."""
-    code, automorphisms, _ = _labelled_search(g)
-    return code, automorphisms
-
-
 def canonical_form(g: Graph) -> int:
     """Minimum refinement-respecting adjacency encoding (an isomorphism key)."""
-    return _search(g)[0]
+    return _labelled_search(g)[0]
 
 
 def _orbit_representatives(n: int, automorphisms: list[list[int]]) -> list[int]:
@@ -278,15 +273,7 @@ def _parent_tables(g: Graph) -> _Tables:
     deg = [row.bit_count() for row in g.adj]
     nsum = [sum(deg[u] for u in iter_bits(row)) for row in g.adj]
     full = (1 << n) - 1
-    comps = []
-    for v in range(n):
-        rest = full ^ 1 << v
-        parts = []
-        while rest:
-            part = sum(_bfs_layers(g, rest))
-            parts.append(part)
-            rest ^= part
-        comps.append(parts)
+    comps = [connected_component_masks(g, full ^ 1 << v) for v in range(n)]
     at_least = [sum(1 << v for v, dv in enumerate(deg) if dv >= d) for d in range(n + 2)]
     return deg, nsum, comps, at_least
 
@@ -373,54 +360,51 @@ def _distinct_parents(
             raise GraphError("extend_connected requires graphs of a single order")
         if not is_connected(g):
             raise GraphError("extend_connected requires connected graphs")
-        code, automorphisms = _search(g)
+        code, automorphisms, _ = _labelled_search(g)
         searched.setdefault(code, (g, automorphisms))
     if n is None:
         raise GraphError("extend_connected needs at least one input graph")
     return n, list(searched.values())
 
 
-def _children(
-    n: int, parents: list[tuple[Graph, list[list[int]]]]
-) -> Iterator[tuple[int, int]]:
-    """(canonical code, edge count) of the children of pairwise non-isomorphic
-    connected parents on n vertices: a parent plus a new vertex n joined to
-    one neighbourhood per orbit of Aut(parent), since neighbourhoods in one
+def _children(n: int, parents: list[tuple[Graph, list[list[int]]]]) -> Iterator[int]:
+    """Canonical codes of the children of pairwise non-isomorphic connected
+    parents on n vertices: a parent plus a new vertex n joined to one
+    neighbourhood per orbit of Aut(parent), since neighbourhoods in one
     orbit give isomorphic children.
 
-    When the parents cover every connected class on n vertices, a child is
-    kept only if n lies in the orbit of its canonical deletion vertex
-    (canonical augmentation; McKay, "Isomorph-free exhaustive generation",
-    1998), so each class on n+1 vertices comes out once. The deletion-vertex
-    keys and cut test come from `_parent_tables`, made once per parent, and
-    the child is built only when `_deletion_screen` leaves n among the tied
-    vertices. On fewer classes that would drop the children whose canonical
-    parent is missing, so there every child is built and kept.
+    A child is kept only if n lies in the orbit of its canonical deletion
+    vertex (canonical augmentation; McKay, "Isomorph-free exhaustive
+    generation", 1998). When the parents cover every connected class on n
+    vertices, the deletion-vertex keys and cut test come from
+    `_parent_tables`, made once per parent, and the child is built only when
+    `_deletion_screen` leaves n among the tied vertices; each class on n+1
+    vertices then comes out once. On fewer classes the test would drop the
+    children whose canonical parent is missing, so the screen is skipped and
+    n is each child's only candidate: every child is built and kept.
     """
     complete = len(parents) == _CLASS_COUNTS.get(n)
     for g, automorphisms in parents:
         tables = _parent_tables(g) if complete else None
-        edges = g.edge_count()
         for nbhd in _orbit_representatives(n, automorphisms):
-            if complete:
-                tied = _deletion_screen(g.adj, tables, nbhd)
-                if tied is None:
-                    continue
+            tied = _deletion_screen(g.adj, tables, nbhd) if complete else [n]
+            if tied is None:
+                continue
             rows = list(g.adj) + [nbhd]
             for v in iter_bits(nbhd):
                 rows[v] |= 1 << n
-            h = Graph(n + 1, rows, _checked=True)
-            code = _augmentation_code(h, tied) if complete else canonical_form(h)
+            code = _augmentation_code(Graph(n + 1, rows, _checked=True), tied)
             if code >= 0:
-                yield code, edges + nbhd.bit_count()
+                yield code
 
 
 def extend_connected(graphs: Sequence[Graph]) -> list[Graph]:
     """All connected graphs (canonical, deduplicated) on n+1 vertices
     obtainable from the given connected graphs on n vertices."""
     n, parents = _distinct_parents(graphs)
-    seen = dict(_children(n, parents))  # canonical bits -> edge count
-    return [_bits_to_graph(n + 1, b) for b in sorted(seen, key=lambda b: (seen[b], b))]
+    # a canonical code holds one bit per edge: the order is (edge count, code)
+    codes = sorted(set(_children(n, parents)), key=lambda b: (b.bit_count(), b))
+    return [_bits_to_graph(n + 1, b) for b in codes]
 
 
 _builtin_cache: dict[int, list[Graph]] = {}

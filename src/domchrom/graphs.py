@@ -163,8 +163,10 @@ def is_connected(g: Graph) -> bool:
     return sum(_bfs_layers(g, full)) == full
 
 
-def connected_component_masks(g: Graph) -> list[int]:
-    remaining = (1 << g.n) - 1
+def connected_component_masks(g: Graph, mask: int) -> list[int]:
+    """The vertex masks of the components of G[mask], in order of their least
+    vertices."""
+    remaining = mask
     comps = []
     while remaining:
         comp = sum(_bfs_layers(g, remaining))

@@ -428,7 +428,7 @@ def verify_embedding(g: Graph, rotation: tuple[tuple[int, ...], ...]) -> bool:
                 idx = position[b][a]
                 nxt = rotation[b][(idx + 1) % len(rotation[b])]
                 cur = (b, nxt)
-    with_edges = [mask for mask in connected_component_masks(g) if mask & (mask - 1)]
+    with_edges = [mask for mask in connected_component_masks(g, (1 << g.n) - 1) if mask & (mask - 1)]
     vertices = sum(mask.bit_count() for mask in with_edges)
     return vertices - g.edge_count() + faces == 2 * len(with_edges)
 

@@ -44,6 +44,9 @@ CONJECTURE_READING = (
 # scan at --jobs 2 on 2 CPUs spent 0.6-0.7 s of parent CPU at 8, 0.34 s at 64.
 _POOL_BATCH = 64
 
+# Input lines between two checkpoint saves; one more is saved when the scan ends.
+_CHECKPOINT_EVERY = 256
+
 
 class ScanError(GraphError):
     pass
@@ -279,7 +282,6 @@ def scan_stream(
     source_id: str = "",
     strict: bool = False,
     jobs: int = 1,
-    checkpoint_every: int = 256,
     records_sink: list | None = None,
 ) -> ScanSummary:
     """Scan a graph6 line stream, one record per graph, in input order.
@@ -289,7 +291,8 @@ def scan_stream(
     the scan under strict=True; otherwise its record index and source line
     number go to the summary's skipped list. When a checkpoint exists for
     the same source, the scan resumes after the last completed record and
-    reproduces the aggregates exactly. jobs must be at least 1; more than
+    reproduces the aggregates exactly; one that covers records needs their
+    file as out_path. jobs must be at least 1; more than
     one fans the checks out to a process pool of at most os.cpu_count()
     workers. Paths that name one file, counting the .tmp file a checkpoint
     save writes first, are refused before any file is read or written.
@@ -316,6 +319,11 @@ def scan_stream(
             raise ScanError(
                 "checkpoint does not match this source/checks: "
                 f"{cp.source_id!r} vs {source_id!r}"
+            )
+        if out_path is None and cp.records_bytes > 0:
+            raise ScanError(
+                f"checkpoint {checkpoint_path} covers {cp.records_bytes} bytes of a "
+                "record file; resume it with that file as --out"
             )
         resume_from = cp.last_index
         records_bytes = cp.records_bytes
@@ -376,7 +384,7 @@ def scan_stream(
                 data = text.encode("utf-8")
                 records_hash.update(data)
                 records_bytes += len(data)
-            if checkpoint_path is not None and (last_index + 1) % checkpoint_every == 0:
+            if checkpoint_path is not None and (last_index + 1) % _CHECKPOINT_EVERY == 0:
                 save_checkpoint()
         if checkpoint_path is not None:
             save_checkpoint()

@@ -11,6 +11,7 @@ from itertools import islice, product
 import pytest
 
 import oracles as naive
+from domchrom import scan
 from domchrom.constructions import (
     DEvenSpec,
     DOddSpec,
@@ -239,7 +240,7 @@ def test_criterion_7_conjecture_survey(stream8):
         )
 
 
-def test_criterion_8_byte_identical_determinism(tmp_path, stream8):
+def test_criterion_8_byte_identical_determinism(tmp_path, stream8, monkeypatch):
     with _Line("criterion 8 (byte-identical reruns, including --jobs > 1)"):
         lines = [to_graph6(g) for g in enumerate_connected(6)]
         outputs = []
@@ -257,7 +258,9 @@ def test_criterion_8_byte_identical_determinism(tmp_path, stream8):
             outputs.append((out.read_bytes(), summ.read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
 
-        # interrupted + resumed run reproduces the uninterrupted bytes
+        # interrupted + resumed run reproduces the uninterrupted bytes, with
+        # checkpoints saved mid-run
+        monkeypatch.setattr(scan, "_CHECKPOINT_EVERY", 8)
         cp = tmp_path / "cp.json"
         out = tmp_path / "resumed.jsonl"
         summ = tmp_path / "resumed.csv"
@@ -268,7 +271,6 @@ def test_criterion_8_byte_identical_determinism(tmp_path, stream8):
             summary_path=summ,
             checkpoint_path=cp,
             source_id="n6",
-            checkpoint_every=8,
         )
         scan_stream(
             lines,

@@ -13,10 +13,10 @@ from domchrom.enumeration import (
     _children,
     _deletion_screen,
     _distinct_parents,
+    _labelled_search,
     _orbit_representatives,
     _parent_tables,
     _refined_cells,
-    _search,
     are_isomorphic,
     canonical_form,
     canonical_graph,
@@ -52,8 +52,13 @@ def test_enumeration_is_connected_and_pairwise_non_isomorphic():
     for n in range(1, 7):
         graphs = enumerate_connected(n)
         assert all(is_connected(g) for g in graphs)
-        forms = {canonical_form(g) for g in graphs}
-        assert len(forms) == len(graphs)
+        forms = [canonical_form(g) for g in graphs]
+        assert len(set(forms)) == len(graphs)
+        # a canonical code holds one bit per edge, so extend_connected's sort
+        # by (code.bit_count(), code) is the order (edge count, code)
+        assert all(code.bit_count() == g.edge_count() for code, g in zip(forms, graphs))
+        keys = [(g.edge_count(), code) for code, g in zip(forms, graphs)]
+        assert keys == sorted(keys)
 
 
 def test_enumeration_deterministic():
@@ -162,7 +167,7 @@ def test_search_output_is_pinned():
     checked = 0
     parents = enumerate_connected(6) + enumerate_connected(7)[::10]
     for h in _extension_candidates(parents):
-        digest.update(repr(_search(h)).encode() + b"\n")
+        digest.update(repr(_labelled_search(h)[:2]).encode() + b"\n")
         checked += 1
     assert checked == 112 * 63 + 86 * 127
     assert digest.hexdigest() == (
@@ -303,7 +308,7 @@ def _group_order(n, generators):
 def test_search_automorphisms_generate_the_automorphism_group(graphs, count):
     checked = 0
     for g in graphs():
-        generators = _search(g)[1]
+        generators = _labelled_search(g)[1]
         for p in generators:
             assert g.permuted(p).adj == g.adj, (g.n, g.adj, p)
         brute = sum(g.permuted(p).adj == g.adj for p in permutations(range(g.n)))
@@ -363,7 +368,7 @@ def test_extension_of_all_but_one_class_canonicalizes_every_child(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_canonical_augmentation_accepts_each_class_exactly_once(n):
-    codes = [code for code, _ in _children(*_distinct_parents(enumerate_connected(n)))]
+    codes = list(_children(*_distinct_parents(enumerate_connected(n))))
     assert len(set(codes)) == len(codes) == _CLASS_COUNTS[n + 1]
     if n + 1 in CONNECTED_COUNTS:
         assert set(codes) == {canonical_form(g) for g in enumerate_connected(n + 1)}
@@ -404,7 +409,7 @@ def test_deletion_screen_equals_the_childs_own_keys_and_cut_vertices(parents, co
     outcomes = []
     for g in parents():
         tables = _parent_tables(g)
-        for nbhd in _orbit_representatives(g.n, _search(g)[1]):
+        for nbhd in _orbit_representatives(g.n, _labelled_search(g)[1]):
             got = _deletion_screen(g.adj, tables, nbhd)
             assert got == _deletion_outcome(g, nbhd), (g.adj, nbhd)
             outcomes.append(got)
@@ -449,3 +454,16 @@ def test_extension_of_order_7_canonicalizes_only_kept_and_tied_children(monkeypa
     # the 853 parents, then 12,106 children: 11,117 kept, 989 tied and rejected
     assert len(orders) == 12959
     assert orders.count(7) == 853 and orders.count(8) == 12106
+
+
+def test_extension_of_all_but_one_order_6_class_canonicalizes_every_child(monkeypatch):
+    parents = enumerate_connected(6)[1:]
+    orders = []
+    search = enumeration._labelled_search
+    monkeypatch.setattr(
+        enumeration, "_labelled_search", lambda g: orders.append(g.n) or search(g)
+    )
+    assert len(extend_connected(parents)) == 852
+    # the 111 parents, then every one of their 3,760 orbit-representative children
+    assert len(orders) == 3871
+    assert orders.count(6) == 111 and orders.count(7) == 3760

@@ -109,7 +109,7 @@ def test_bipartition_puts_the_least_vertex_side_first():
 
 def test_connected_component_masks_three_components():
     g = from_edge_list(7, [(0, 4), (4, 6), (1, 5), (2, 5)])
-    assert connected_component_masks(g) == [0b1010001, 0b0100110, 0b0001000]
+    assert connected_component_masks(g, (1 << g.n) - 1) == [0b1010001, 0b0100110, 0b0001000]
 
 
 def test_complete_bipartite_shapes():

@@ -162,7 +162,7 @@ def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch):
     assert FakePool.sizes == [2] and sink == expected
 
 
-def test_checkpoint_resume_is_byte_identical(tmp_path):
+def test_checkpoint_resume_is_byte_identical(tmp_path, monkeypatch):
     lines = lines_for(6)
     full_out = tmp_path / "full.jsonl"
     full_sum = tmp_path / "full.csv"
@@ -172,6 +172,9 @@ def test_checkpoint_resume_is_byte_identical(tmp_path):
     part_sum = tmp_path / "part.csv"
     cp = tmp_path / "cp.json"
     # interrupt: scan a prefix with checkpoints, then resume over the full stream
+    import domchrom.scan as scan
+
+    monkeypatch.setattr(scan, "_CHECKPOINT_EVERY", 16)
     scan_stream(
         lines[:40],
         checks=("invariants",),
@@ -179,7 +182,6 @@ def test_checkpoint_resume_is_byte_identical(tmp_path):
         summary_path=part_sum,
         checkpoint_path=cp,
         source_id="n6",
-        checkpoint_every=16,
     )
     assert Checkpoint.load(cp).last_index == 39
     scan_stream(
@@ -237,6 +239,22 @@ def test_resume_refuses_a_deleted_record_file(tmp_path):
         scan_stream(lines, checks=("invariants",), out_path=out, checkpoint_path=cp, source_id="n5")
     # refused before anything is written
     assert not out.exists() and cp.read_bytes() == checkpoint
+
+
+def test_resume_without_out_refuses_a_checkpoint_that_covers_records(tmp_path):
+    # a killed --out scan resumed without --out would save a checkpoint whose
+    # records_bytes no longer matches its records_sha256
+    lines = lines_for(5)
+    sid = source_id_for_builtin(5)
+    out = tmp_path / "records.jsonl"
+    cp = tmp_path / "cp.json"
+    summ = tmp_path / "summary.csv"
+    scan_stream(lines[:10], out_path=out, checkpoint_path=cp, source_id=sid)
+    checkpoint = cp.read_bytes()
+    with pytest.raises(ScanError, match="--out"):
+        scan_stream(lines, summary_path=summ, checkpoint_path=cp, source_id=sid)
+    # refused before anything is written
+    assert cp.read_bytes() == checkpoint and not summ.exists()
 
 
 def test_resume_refuses_a_checkpoint_without_a_records_digest(tmp_path):
