@@ -20,9 +20,15 @@ One predicate decides 2-core rows: planar without an LR run when fewer than
 6 have degree >= 3 and fewer than 5 degree >= 4, the branch vertices a
 K_{3,3} or K_5 subdivision needs, else by one LR run. `lr_is_planar` gives
 it the graph's 2-core. The deletion keeps only the kept graph's 2-core: an
-edge outside it is a bridge into a pendant tree and goes untested, and an
-edge inside it is tested on the trial rows as the peel leaves them. The
-edges kept, and so the witness, are those of one LR run per edge. The
+edge outside it is a bridge into a pendant tree and goes untested, and each
+trial is decided on the rows the peel leaves. The edges kept, and so the
+witness, are those of deleting one edge at a time in sorted order, but far
+fewer trials reach them. A supergraph of a non-planar graph is non-planar,
+so deleting ever longer runs of the next edges stays non-planar up to the
+first edge that must be kept: runs are deleted whole in blocks that double,
+and the block that turns planar is bisected. Deleting any edge of a kept
+edge's path through degree-2 vertices peels the same core, so the whole
+path is kept with no further trial. The
 witness is read off the final core's rows: branch vertices are the rows
 with more than two bits set, and each path is walked bit by bit between
 them. The tests check it against `tests/oracles.py`, which deletes edges
@@ -479,20 +485,75 @@ def kuratowski_witness(g: Graph) -> KuratowskiWitness:
 
 def _witness_by_deletion(g: Graph) -> KuratowskiWitness:
     """Delete each edge of the non-planar g in sorted order unless that makes
-    the kept graph planar. Only the kept graph's 2-core is stored: a graph is
-    planar exactly when its 2-core is, so an edge outside the core is dropped
-    untested, and an edge inside is tested on the trial core `_peel` leaves."""
+    the kept graph planar, with far fewer trials than one per edge. Only the
+    kept graph's 2-core H is stored: a graph is planar exactly when its
+    2-core is, so an edge outside H is dropped untested.
+
+    Two exact rules give the same decisions. Deleting a longer prefix of the
+    undecided edges leaves a subgraph, so whether the prefix's core is planar
+    is monotone in its length: the greedy deletes every edge before the first
+    prefix that turns planar and keeps that prefix's last edge. Blocks of
+    edges in H that are not yet kept are deleted whole, doubling after each
+    block that stays non-planar, and the block that turns planar is
+    bisected. A kept edge's path through degree-2 vertices of H, or its cycle
+    component, peels away whole whichever of its edges is deleted, leaving
+    the same planar core; H only shrinks afterwards, so `_keep_chain` keeps
+    the whole path with no trial."""
     core = _two_core(g)
-    for u, v in sorted(g.edges()):
-        if not core[u] >> v & 1:
-            continue  # a tree edge off the core: deleting it leaves the core
-        trial = list(core)
+    kept = [0] * g.n
+    edges = sorted(g.edges())
+    i, size = 0, 1
+    while True:
+        block = []  # indices into edges of the next `size` undecided edges
+        while i < len(edges) and len(block) < size:
+            u, v = edges[i]
+            if (core[u] & ~kept[u]) >> v & 1:
+                block.append(i)
+            i += 1
+        if not block:
+            return _classify_subdivision(core)
+        trial = _without(core, [edges[j] for j in block])
+        if not _core_is_planar(trial):
+            core, size = trial, 2 * size
+            continue
+        lo, hi = 0, len(block)  # deleting block[:lo] leaves core non-planar, block[:hi] planar
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            trial = _without(core, [edges[j] for j in block[lo:mid]])
+            if _core_is_planar(trial):
+                hi = mid
+            else:
+                core, lo = trial, mid
+        _keep_chain(core, kept, *edges[block[lo]])
+        i, size = block[lo] + 1, 1
+
+
+def _without(core: list[int], edges: list[tuple[int, int]]) -> list[int]:
+    """The 2-core left after deleting `edges` from the 2-core `core`."""
+    trial = list(core)
+    ends = []
+    for u, v in edges:
         trial[u] &= ~(1 << v)
         trial[v] &= ~(1 << u)
-        _peel(trial, [u, v])
-        if not _core_is_planar(trial):
-            core = trial
-    return _classify_subdivision(core)
+        ends += (u, v)
+    _peel(trial, ends)
+    return trial
+
+
+def _keep_chain(core: list[int], kept: list[int], u: int, v: int) -> None:
+    """Mark kept the edge uv of `core` and every edge on its maximal path
+    through degree-2 vertices, walked from both ends; when the walk from v
+    comes back to u, uv lies on a cycle component, all of it marked."""
+    for a, b in ((u, v), (v, u)):
+        start = a
+        kept[a] |= 1 << b
+        kept[b] |= 1 << a
+        while b != start and core[b].bit_count() == 2:
+            a, b = b, (core[b] & ~(1 << a)).bit_length() - 1
+            kept[a] |= 1 << b
+            kept[b] |= 1 << a
+        if b == start:
+            return
 
 
 def _classify_subdivision(core: list[int]) -> KuratowskiWitness:

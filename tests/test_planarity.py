@@ -306,7 +306,8 @@ def test_witness_matches_deletion_oracle_through_n7(monkeypatch):
     assert_witnesses_match_oracle(nonplanar, monkeypatch)
 
 
-def test_witness_matches_deletion_oracle_on_d3_blueprints(monkeypatch):
+def d3_pool():
+    """The 3,268 D(3) blueprints with a, b <= 5, in the benchmark's order."""
     pool = [
         bp
         for a in (3, 4, 5)
@@ -314,7 +315,39 @@ def test_witness_matches_deletion_oracle_on_d3_blueprints(monkeypatch):
         for bp in enumerate_d3_blueprints(a, b)
     ]
     assert len(pool) == 3268
-    assert_witnesses_match_oracle([build_d3(bp)[0] for bp in pool[::8]], monkeypatch)
+    return pool
+
+
+def test_witness_matches_deletion_oracle_on_d3_blueprints(monkeypatch):
+    assert_witnesses_match_oracle([build_d3(bp)[0] for bp in d3_pool()[::8]], monkeypatch)
+
+
+def count_deletion_work(monkeypatch):
+    """Counts, from here on, of `_core_is_planar` calls (the deletion trials
+    when `_witness_by_deletion` is called directly) and of LR runs."""
+    counts = {"trials": 0, "lr_runs": 0}
+    core_is_planar, run = _core_is_planar, planarity._LRPlanarity.run
+
+    def trial(core):
+        counts["trials"] += 1
+        return core_is_planar(core)
+
+    def lr_run(self):
+        counts["lr_runs"] += 1
+        return run(self)
+
+    monkeypatch.setattr(planarity, "_core_is_planar", trial)
+    monkeypatch.setattr(planarity._LRPlanarity, "run", lr_run)
+    return counts
+
+
+def test_deletion_trials_on_the_certify_d3_graphs_are_pinned(monkeypatch):
+    graphs = [build_d3(bp)[0] for bp in d3_pool()[::4]]
+    counts = count_deletion_work(monkeypatch)
+    for g in graphs:
+        planarity._witness_by_deletion(g)
+    # one trial per core edge took 16,118 trials and 8,608 LR runs here
+    assert counts == {"trials": 14761, "lr_runs": 5486}
 
 
 def test_two_core_screen_is_sound_through_n7():
@@ -342,18 +375,32 @@ def test_deep_ladder_gets_a_verdict():
     assert verdict.planar and verify_embedding(g, verdict.embedding)
 
 
-def test_deeply_subdivided_k33_gets_a_witness():
-    k33, _ = complete_bipartite(3, 3)
-    edges, n = [], 6
-    for u, v in k33.edges():
-        path = [u] + list(range(n, n + 299)) + [v]
-        n += 299
+def subdivided(g, times: int):
+    """g with every edge replaced by a path through `times` new vertices."""
+    edges, n = [], g.n
+    for u, v in g.edges():
+        path = [u] + list(range(n, n + times)) + [v]
+        n += times
         edges += list(zip(path, path[1:]))
-    g = from_edge_list(n, edges)
+    return from_edge_list(n, edges)
+
+
+def test_deeply_subdivided_k33_gets_a_witness():
+    g = subdivided(complete_bipartite(3, 3)[0], 299)
     verdict = is_planar(g)
     assert not verdict.planar and verdict.witness.kind == "K33"
     assert verify_kuratowski(g, verdict.witness)
     assert all(len(p) == 301 for p in verdict.witness.paths)
+
+
+@pytest.mark.parametrize("g", [complete_bipartite(3, 3)[0], K5], ids=["K33", "K5"])
+def test_deletion_keeps_each_subdivided_edge_with_one_trial(g, monkeypatch):
+    h = subdivided(g, 299)
+    counts = count_deletion_work(monkeypatch)
+    witness = planarity._witness_by_deletion(h)
+    assert witness.edges == frozenset(h.edges())
+    # one trial per path, each decided by the branch-vertex screen
+    assert counts == {"trials": g.edge_count(), "lr_runs": 0}
 
 
 def test_scan_cli_decides_the_deep_ladder():
