@@ -516,7 +516,8 @@ def _witness_by_deletion(g: Graph) -> KuratowskiWitness:
         if not _core_is_planar(trial):
             core, size = trial, 2 * size
             continue
-        lo, hi = 0, len(block)  # deleting block[:lo] leaves core non-planar, block[:hi] planar
+        # deleting block[:lo] leaves a non-planar core, deleting block[:hi] a planar one
+        lo, hi = 0, len(block)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             trial = _without(core, [edges[j] for j in block[lo:mid]])
