@@ -28,11 +28,11 @@ so deleting ever longer runs of the next edges stays non-planar up to the
 first edge that must be kept: runs are deleted whole in blocks that double,
 and the block that turns planar is bisected. Deleting any edge of a kept
 edge's path through degree-2 vertices peels the same core, so the whole
-path is kept with no further trial. The
-witness is read off the final core's rows: branch vertices are the rows
-with more than two bits set, and each path is walked bit by bit between
-them. The tests check it against `tests/oracles.py`, which deletes edges
-one networkx planarity test at a time and classifies its own edge list.
+path is kept with no further trial. The witness is read off the final
+core's rows: branch vertices are the rows with more than two bits set, and
+each path is walked bit by bit between them. The tests check it against
+`tests/oracles.py`, which deletes edges one networkx planarity test at a
+time and classifies its own edge list.
 
 Certificates are verified by re-walking, not trusted: embeddings by one
 Euler sum over the components with an edge, witnesses by tracing their
@@ -512,7 +512,7 @@ def _witness_by_deletion(g: Graph) -> KuratowskiWitness:
             i += 1
         if not block:
             return _classify_subdivision(core)
-        trial = _without(core, [edges[j] for j in block])
+        trial = _without(core, edges, block)
         if not _core_is_planar(trial):
             core, size = trial, 2 * size
             continue
@@ -520,7 +520,7 @@ def _witness_by_deletion(g: Graph) -> KuratowskiWitness:
         lo, hi = 0, len(block)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            trial = _without(core, [edges[j] for j in block[lo:mid]])
+            trial = _without(core, edges, block[lo:mid])
             if _core_is_planar(trial):
                 hi = mid
             else:
@@ -529,11 +529,11 @@ def _witness_by_deletion(g: Graph) -> KuratowskiWitness:
         i, size = block[lo] + 1, 1
 
 
-def _without(core: list[int], edges: list[tuple[int, int]]) -> list[int]:
-    """The 2-core left after deleting `edges` from the 2-core `core`."""
+def _without(core: list[int], edges: list[tuple[int, int]], chosen: list[int]) -> list[int]:
+    """The 2-core left after deleting the `chosen` edges from the 2-core `core`."""
     trial = list(core)
     ends = []
-    for u, v in edges:
+    for u, v in map(edges.__getitem__, chosen):
         trial[u] &= ~(1 << v)
         trial[v] &= ~(1 << u)
         ends += (u, v)
