@@ -493,68 +493,48 @@ def _witness_by_deletion(g: Graph) -> KuratowskiWitness:
     undecided edges leaves a subgraph, so whether the prefix's core is planar
     is monotone in its length: the greedy deletes every edge before the first
     prefix that turns planar and keeps that prefix's last edge. Blocks of
-    edges in H that are not yet kept are deleted whole, doubling after each
-    block that stays non-planar, and the block that turns planar is
-    bisected. A kept edge's path through degree-2 vertices of H, or its cycle
-    component, peels away whole whichever of its edges is deleted, leaving
-    the same planar core; H only shrinks afterwards, so `_keep_chain` keeps
-    the whole path with no trial."""
+    undecided edges are deleted whole, doubling after each block that stays
+    non-planar, and the block that turns planar is bisected. A kept edge's
+    path through degree-2 vertices of H, or its cycle component, peels away
+    whole whichever of its edges is deleted, leaving the same planar core;
+    H only shrinks afterwards, so the whole path is kept with no trial."""
     core = _two_core(g)
     kept = [0] * g.n
     edges = sorted(g.edges())
-    i, size = 0, 1
+    size = 1
     while True:
-        block = []  # indices into edges of the next `size` undecided edges
-        while i < len(edges) and len(block) < size:
-            u, v = edges[i]
-            if (core[u] & ~kept[u]) >> v & 1:
-                block.append(i)
-            i += 1
+        # the undecided edges: every edge passed is off the core or kept
+        block = [e for e in edges if (core[e[0]] & ~kept[e[0]]) >> e[1] & 1][:size]
         if not block:
             return _classify_subdivision(core)
-        trial = _without(core, edges, block)
-        if not _core_is_planar(trial):
-            core, size = trial, 2 * size
-            continue
-        # deleting block[:lo] leaves a non-planar core, deleting block[:hi] a planar one
-        lo, hi = 0, len(block)
+        # deleting block[:lo] leaves a non-planar core and block[:hi] a planar
+        # one; hi starts past the block, as the whole block is tried first
+        lo, hi, mid = 0, len(block) + 1, len(block)
         while hi - lo > 1:
-            mid = (lo + hi) // 2
-            trial = _without(core, edges, block[lo:mid])
+            trial = list(core)
+            for u, v in block[lo:mid]:
+                trial[u] &= ~(1 << v)
+                trial[v] &= ~(1 << u)
+                _peel(trial, [u, v])
             if _core_is_planar(trial):
                 hi = mid
             else:
                 core, lo = trial, mid
-        _keep_chain(core, kept, *edges[block[lo]])
-        i, size = block[lo] + 1, 1
-
-
-def _without(core: list[int], edges: list[tuple[int, int]], chosen: list[int]) -> list[int]:
-    """The 2-core left after deleting the `chosen` edges from the 2-core `core`."""
-    trial = list(core)
-    ends = []
-    for u, v in map(edges.__getitem__, chosen):
-        trial[u] &= ~(1 << v)
-        trial[v] &= ~(1 << u)
-        ends += (u, v)
-    _peel(trial, ends)
-    return trial
-
-
-def _keep_chain(core: list[int], kept: list[int], u: int, v: int) -> None:
-    """Mark kept the edge uv of `core` and every edge on its maximal path
-    through degree-2 vertices, walked from both ends; when the walk from v
-    comes back to u, uv lies on a cycle component, all of it marked."""
-    for a, b in ((u, v), (v, u)):
-        start = a
-        kept[a] |= 1 << b
-        kept[b] |= 1 << a
-        while b != start and core[b].bit_count() == 2:
-            a, b = b, (core[b] & ~(1 << a)).bit_length() - 1
-            kept[a] |= 1 << b
-            kept[b] |= 1 << a
-        if b == start:
-            return
+            mid = (lo + hi) // 2
+        if lo == len(block):
+            size *= 2
+            continue
+        # keep block[lo] and its path through degree-2 vertices, walked from
+        # both ends (all the way round when it lies on a cycle component)
+        size = 1
+        for start, b in (block[lo], block[lo][::-1]):
+            a = start
+            while True:
+                kept[a] |= 1 << b
+                kept[b] |= 1 << a
+                if b == start or core[b].bit_count() != 2:
+                    break
+                a, b = b, (core[b] & ~(1 << a)).bit_length() - 1
 
 
 def _classify_subdivision(core: list[int]) -> KuratowskiWitness:
