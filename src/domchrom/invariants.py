@@ -297,52 +297,33 @@ def _min_cover_size(n: int, covers: tuple[int, ...]) -> int:
 
 
 def _lex_min_cover(n: int, covers: tuple[int, ...], size: int) -> tuple[int, ...]:
-    """Lexicographically least covering set of exactly the given size."""
+    """Lexicographically least covering set of the given size, which must be
+    the minimum: a vertex that covers nothing new is never taken, and a
+    minimum cover holds no such vertex.
+
+    Depth-first over the vertices in index order, each taken before it is
+    left out, so covers are met in lexicographic order of their sorted
+    tuples and the first one found is the witness.
+    """
     full = (1 << n) - 1
-    # highest-index vertex covering u; covers are symmetric, so covers[u] lists them
-    latest_cover = [row.bit_length() - 1 for row in covers]
-
-    def feasible(start: int, covered: int, remaining: int) -> bool:
+    # later[v]: the union of covers[v:]; top[v]: the largest of them
+    later = [0] * (n + 1)
+    top = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        later[v] = later[v + 1] | covers[v]
+        top[v] = max(top[v + 1], covers[v].bit_count())
+    stack = [(0, 0, 0, size)]  # (next vertex, covered, chosen mask, vertices left)
+    while stack:
+        v, covered, chosen, left = stack.pop()
         uncovered = full & ~covered
-        if uncovered:
-            max_gain = 0
-            for v in range(start, n):
-                gain = (covers[v] & uncovered).bit_count()
-                if gain > max_gain:
-                    max_gain = gain
-            if max_gain * remaining < uncovered.bit_count():
-                return False
-            for u in iter_bits(uncovered):
-                if latest_cover[u] < start:
-                    return False
-        return True
-
-    # depth-first over increasing vertex choices, on explicit stacks
-    chosen: list[int] = []
-    covered = [0]  # covered[i]: the union of covers over chosen[:i]
-    options: list[Iterator[int]] = []  # the untried choices of each open level
-    while True:
-        depth = len(chosen)
-        start = chosen[-1] + 1 if chosen else 0
-        if depth < size and feasible(start, covered[-1], size - depth):
-            options.append(iter(range(start, n - (size - depth) + 1)))
-        elif covered[-1] == full:
-            return tuple(chosen)
-        elif chosen:
-            chosen.pop()
-            covered.pop()
-        while options:
-            v = next(options[-1], None)
-            if v is not None:
-                chosen.append(v)
-                covered.append(covered[-1] | covers[v])
-                break
-            options.pop()
-            if chosen:
-                chosen.pop()
-                covered.pop()
-        else:
-            raise AssertionError("no witness at the optimal size; solver bug")
+        if not uncovered:
+            return tuple(iter_bits(chosen))
+        if uncovered & ~later[v] or top[v] * left < uncovered.bit_count():
+            continue
+        stack.append((v + 1, covered, chosen, left))
+        if covers[v] & uncovered:
+            stack.append((v + 1, covered | covers[v], chosen | 1 << v, left - 1))
+    raise AssertionError("no witness at the optimal size; solver bug")
 
 
 def _cover(

@@ -17,7 +17,6 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator
 
 from .constructions import (
     OPPOSITE,
@@ -144,31 +143,17 @@ def find_total_dominating_transversal(
     for i in range(len(classes) - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | class_cover[i]
 
-    # depth-first over the classes in order, on explicit stacks
-    picked: list[int] = []
-    covered = [0]  # covered[i]: the union of neighbourhoods over picked[:i]
-    options: list[Iterator[int]] = []  # the untried members of each open class
-    while True:
-        i = len(picked)
-        if covered[-1] | suffix_cover[i] == full:
-            if i == len(classes):
-                return tuple(picked)
-            options.append(iter(classes[i]))
-        elif picked:
-            picked.pop()
-            covered.pop()
-        while options:
-            v = next(options[-1], None)
-            if v is not None:
-                picked.append(v)
-                covered.append(covered[-1] | g.adj[v])
-                break
-            options.pop()
-            if picked:
-                picked.pop()
-                covered.pop()
-        else:
-            return None
+    # depth-first over the classes in order, on one stack; members are
+    # pushed in reverse, so the least is popped first
+    stack = [(0, 0, ())]  # (class index, covered, picked)
+    while stack:
+        i, covered, picked = stack.pop()
+        if covered | suffix_cover[i] != full:
+            continue
+        if i == len(classes):
+            return picked
+        stack.extend((i + 1, covered | g.adj[v], picked + (v,)) for v in reversed(classes[i]))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,28 @@ def test_correct_runs_are_all_recorded(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("workload, out, message", [
+    ("scan8:1", "missing", "not an existing directory"),
+    ("survey8:3-1", ".", "no range empty"),
+])
+def test_bad_arguments_are_refused_before_any_run(
+    tmp_path, monkeypatch, capsys, workload, out, message
+):
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_record, "_run", no_run)
+    a = _fake_checkout(tmp_path / "a", correct=True)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_record.main([
+            "--label", "t", "--side", f"parent={a}", "--side", f"change={a}",
+            "--workload", workload, "--out", str(tmp_path / out),
+        ])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
 def test_summarize_quartiles_pair_wins_and_traced_medians():
     walls = {"parent": [2.0, 2.2, 1.9, 2.1], "change": [1.5, 2.3, 1.4, 1.6]}
     runs = [

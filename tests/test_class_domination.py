@@ -5,9 +5,11 @@ the class, or when the class is exactly {v}. Theorem 1's report, chains
 and the three class-domination predicates all read that relation; the
 digest below fixes what they return on every D(k) graph of order at most
 8, the nine constructions with k <= 6 and every 4th D(3) blueprint with
-a, b <= 5.
+a, b <= 5. A second digest fixes the domination witnesses on the same
+graphs.
 """
 
+import functools
 import hashlib
 from pathlib import Path
 
@@ -22,13 +24,14 @@ from domchrom.constructions import (
 from domchrom.enumeration import enumerate_connected
 from domchrom.graph6 import parse_graph6
 from domchrom.invariants import (
+    compute_report,
     dominates_class,
     enumerate_optimal_dominator_colorings,
     invariant_values,
     is_dominated_coloring,
     is_dominator_coloring,
 )
-from domchrom.structure import check_theorem1, find_chain
+from domchrom.structure import check_theorem1, find_chain, find_total_dominating_transversal
 
 ORDER8 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "order8.g6"
 FAMILIES = (
@@ -40,6 +43,7 @@ FAMILIES = (
 )
 
 
+@functools.cache
 def _digest_graphs():
     small = [g for n in range(1, 8) for g in enumerate_connected(n)]
     small += [parse_graph6(line) for line in ORDER8.read_text().split()]
@@ -47,7 +51,7 @@ def _digest_graphs():
     graphs += [build(spec(k, n))[0] for build, spec, k, n in FAMILIES]
     pool = [bp for a in (3, 4, 5) for b in (3, 4, 5) for bp in enumerate_d3_blueprints(a, b)]
     graphs += [build_d3(bp)[0] for bp in pool[::4]]
-    return graphs
+    return tuple(graphs)
 
 
 def _readings(g, coloring):
@@ -86,3 +90,20 @@ def test_class_domination_readers_are_pinned():
         "f35156ff8b672ac9990eb8a5e369e472bb5ff5dc44a1d6c42e134db58cc369de"
     )
 
+
+
+def test_domination_witnesses_are_pinned():
+    # the gamma and gamma_t witnesses, and the total dominating transversal
+    # of every optimal dominator coloring, in the order they are enumerated
+    digest = hashlib.sha256()
+    for g in _digest_graphs():
+        report = compute_report(g)
+        line = [report.gamma_witness, report.gamma_t_witness]
+        line += (
+            find_total_dominating_transversal(g, c)
+            for c in enumerate_optimal_dominator_colorings(g, report.chi_d)
+        )
+        digest.update(repr(line).encode("utf-8"))
+    assert digest.hexdigest() == (
+        "23fa7a349c7b8b556f701539d6fa096cdba4e044e62372047fb40f28d923bb78"
+    )

@@ -254,11 +254,33 @@ def test_deterministic_witnesses():
     assert compute_report(godd) == compute_report(godd)
 
 
+def _path(n):
+    return from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def _cycle(n):
+    return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
+
+
 def test_lex_least_witnesses_match_naive():
-    for g in enumerate_connected(5):
+    # paths and cycles up to 18 vertices cover every residue mod 3 and mod 4
+    graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    graphs += [_path(n) for n in range(1, 19)] + [_cycle(n) for n in range(3, 19)]
+    for g in graphs:
         gamma, witness = domination_number(g)
-        n_gamma, n_witness = naive.min_dominating_set(g)
-        assert (gamma, witness.sorted_vertices()) == (n_gamma, n_witness)
+        assert (gamma, witness.sorted_vertices()) == naive.min_dominating_set(g)
+        expected = naive.min_total_dominating_set(g)
+        if expected is None:
+            with pytest.raises(UndefinedInvariantError):
+                total_domination_number(g)
+        else:
+            gamma_t, witness = total_domination_number(g)
+            assert (gamma_t, witness.sorted_vertices()) == expected
+    # the closed forms the oracle shows for small n, on long paths
+    assert total_domination_number(_path(802))[1].sorted_vertices() == (0, 1) + tuple(
+        v for j in range(200) for v in (4 * j + 3, 4 * j + 4)
+    )
+    assert domination_number(_path(1550))[1].sorted_vertices() == tuple(range(0, 1550, 3))
 
 
 def test_enumerate_optimal_dominator_colorings():

@@ -15,6 +15,8 @@ end-to-end metric, the number of pairs the last side won, and each side's
 median of every per-layer metric over its traced runs. A run that exits
 non-zero or reports `"correct": false` stops the recording with an error
 naming its side, workload and seed; the file keeps the runs before it.
+An `--out` directory that does not exist, or an empty seed range such as
+3-1, is refused with exit 2 before any run.
 """
 
 from __future__ import annotations
@@ -52,7 +54,10 @@ def _seeds(text: str) -> list[int]:
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        span = range(int(lo), int(hi or lo) + 1)
+        if not span:
+            raise ValueError(f"empty seed range {part}")
+        seeds += span
     return seeds
 
 
@@ -138,6 +143,8 @@ def main(argv=None) -> int:
                         help="the same, run with --trace 1")
     parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args(argv)
+    if not args.out.is_dir():
+        parser.error(f"--out {args.out}: not an existing directory")
 
     checkouts = {}
     for spec in args.side:
@@ -155,7 +162,7 @@ def main(argv=None) -> int:
             try:
                 seed_list = _seeds(seeds or "1")
             except ValueError:
-                parser.error(f"{spec}: seeds must look like 1-10 or 1,3,5")
+                parser.error(f"{spec}: seeds must look like 1-10 or 1,3,5, no range empty")
             for i, seed in enumerate(seed_list):
                 order = sides if i % 2 == 0 else sides[::-1]
                 plan += [(side, workload, seed, trace) for side in order]
