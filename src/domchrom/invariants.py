@@ -6,7 +6,10 @@ stage, and each witness only when the consumer asks for it, so the scan's
 values-only path and the full report share every rule.
 
 Solver strategy: domination numbers by branch-and-bound on the set of
-undominated vertices. The chromatic numbers share one iterative coloring
+undominated vertices. Their witnesses come from one depth-first pass over
+the vertices in index order, each taken before it is left out, so the first
+cover of the minimum size it meets is the lex-least; the union and the
+largest of the covers not yet passed prune a branch. The chromatic numbers share one iterative coloring
 search on an explicit stack, clique vertices first and then by degree. It
 runs on one state per k: each class's members and the vertices adjacent to
 all of them, and a trail that undoes a placement by restoring two integers.

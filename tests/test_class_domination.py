@@ -91,7 +91,6 @@ def test_class_domination_readers_are_pinned():
     )
 
 
-
 def test_domination_witnesses_are_pinned():
     # the gamma and gamma_t witnesses, and the total dominating transversal
     # of every optimal dominator coloring, in the order they are enumerated

@@ -33,6 +33,14 @@ C4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 C5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
 
+def _path(n):
+    return from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def _cycle(n):
+    return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
+
+
 def test_dominates_class_examples():
     k23, lab = complete_bipartite(2, 3)
     col = Coloring.from_classes([lab.group("A"), lab.group("B")])
@@ -125,13 +133,11 @@ def test_dominator_chromatic_examples():
 def test_dominator_chromatic_number_of_paths_and_cycles_has_closed_forms():
     # Chellali & Maffray, "Dominator colorings in some classes of graphs" (2012)
     for n in range(2, 13):
-        path = from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
         expected = -(-n // 3) + (1 if n in (2, 3, 4, 5, 7) else 2)
-        assert dominator_chromatic_number(path)[0] == expected, f"P{n}"
+        assert dominator_chromatic_number(_path(n))[0] == expected, f"P{n}"
     for n in range(3, 13):
-        cycle = from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
         expected = {4: 2, 5: 3}.get(n, -(-n // 3) + 2)
-        assert dominator_chromatic_number(cycle)[0] == expected, f"C{n}"
+        assert dominator_chromatic_number(_cycle(n))[0] == expected, f"C{n}"
 
 
 def test_dominated_chromatic_examples():
@@ -252,14 +258,6 @@ def test_sandwich_and_witness_validity_on_sample():
 def test_deterministic_witnesses():
     godd, _ = build_d_odd(DOddSpec(3, 9))
     assert compute_report(godd) == compute_report(godd)
-
-
-def _path(n):
-    return from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
-
-
-def _cycle(n):
-    return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def test_lex_least_witnesses_match_naive():
