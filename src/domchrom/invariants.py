@@ -23,6 +23,13 @@ vertices. Witnesses are the lexicographically least optimal ones (dominating
 sets compared as sorted vertex tuples, colorings by their vertex-to-class
 assignment sequence, classes numbered by first use).
 
+The last report computed is kept, with its graph, in a one-slot memo. A
+report of an equal graph, such as the one `check_theorem1` needs after
+`compute_report`, reuses it, and the enumeration of all optimal dominator
+colorings, for Theorem 1 or on its own, restarts from the remembered chi_d
+witness instead of running the stages again. A report of any other graph
+replaces it; a graph whose report raises is never kept.
+
 Convention: a vertex dominates its own color class only when that class is
 exactly the singleton {v}. Cross-class domination always means "adjacent to
 every vertex of the class".
@@ -569,16 +576,21 @@ def _lex_colorings(
         state.pop()
 
 
-def _proper_stage(g: Graph) -> tuple[tuple[int, ...], int, Iterator[Coloring]]:
-    """The search order shared by all three modes (a maximum clique's vertices
-    first, then the rest by degree descending), chi, and the chi-colorings."""
+def _search_order(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """The clique bound, and the search order shared by all three modes: a
+    maximum clique's vertices first, then the rest by degree descending."""
     size, clique_mask = max_clique(g)
     clique = sorted(iter_bits(clique_mask))
     rest = sorted(
         (v for v in range(g.n) if not clique_mask >> v & 1),
         key=lambda v: (-g.degree(v), v),
     )
-    order = tuple(clique + rest)
+    return size, tuple(clique + rest)
+
+
+def _proper_stage(g: Graph) -> tuple[tuple[int, ...], int, Iterator[Coloring]]:
+    """The search order, chi, and the chi-colorings."""
+    size, order = _search_order(g)
     return (order, *_optimal_colorings(g, _MODE_PROPER, order, size))
 
 
@@ -611,6 +623,9 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
 
 def _dominator_colorings(g: Graph) -> tuple[int, Iterator[Coloring]]:
     _require_connected(g, "dominator chromatic number")
+    remembered = _remembered(g)
+    if remembered is not None:
+        return remembered[0].chi_d, remembered[1]
     order, chi, _ = _proper_stage(g)  # chi(G) is a lower bound
     return _optimal_colorings(g, _MODE_DOMINATOR, order, chi)
 
@@ -689,9 +704,31 @@ def invariant_values(g: Graph, early_exit_k: int | None = None) -> dict[str, int
     return values
 
 
+# The last report `_report` computed, with its graph. One slot: it cannot
+# grow, and a report of any other graph is computed afresh.
+_last_report: tuple[Graph, InvariantReport] | None = None
+
+
+def _remembered(g: Graph) -> tuple[InvariantReport, Iterator[Coloring]] | None:
+    """The remembered report of G, and a new iterator over every optimal
+    dominator coloring in lexicographic order, the report's witness first;
+    None unless the last report `_report` computed is of a graph equal to G."""
+    if _last_report is None or _last_report[0] != g:
+        return None
+    report = _last_report[1]
+    _, order = _search_order(g)
+    state = _ColoringState(g, report.chi_d, _MODE_DOMINATOR)
+    return report, _lex_colorings(state, order, report.chi_d_witness.assignment(g.n))
+
+
 def _report(g: Graph) -> tuple[InvariantReport, Iterator[Coloring]]:
     """The full report, and every optimal dominator coloring in lexicographic
-    order: the chi_d stage's iterator, its first item (the witness) in front."""
+    order: the chi_d stage's iterator, its first item (the witness) in front.
+    A graph equal to the last one reported reuses that report."""
+    global _last_report
+    remembered = _remembered(g)
+    if remembered is not None:
+        return remembered
     _require_connected(g, "an invariant report")
     fields: dict[str, object] = {}
     for name, value, witnesses in _stages(g):
@@ -704,7 +741,9 @@ def _report(g: Graph) -> tuple[InvariantReport, Iterator[Coloring]]:
     assert fields["gamma_t"] is None or fields["gamma"] <= fields["gamma_t"]
     assert fields["chi"] <= fields["chi_d"]
     assert fields["chi_dom"] is None or fields["chi"] <= fields["chi_dom"]
-    return InvariantReport(n=g.n, edge_count=g.edge_count(), **fields), dominator_colorings
+    report = InvariantReport(n=g.n, edge_count=g.edge_count(), **fields)
+    _last_report = (g, report)
+    return report, dominator_colorings
 
 
 def compute_report(g: Graph) -> InvariantReport:

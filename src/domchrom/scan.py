@@ -7,15 +7,15 @@ identical inputs yield byte-identical outputs at any job count. One writer
 saves checkpoints atomically (write-new-then-rename), which bind to the
 source via an identity string and to the record file via the sha256 of its
 checkpointed prefix. Resuming refuses a checkpoint unlike the ones `save`
-writes, checks that prefix, replays the aggregates and truncates the record
-file to the checkpointed byte count.
+writes, checks that prefix, rebuilds the aggregates from its records,
+refuses a checkpoint whose summary disagrees with them, and truncates the
+record file to the checkpointed byte count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -249,6 +249,8 @@ def _iter_results(items, checks: tuple[str, ...], jobs: int):
     if workers == 1:
         yield from map(evaluate, items)
     else:
+        import multiprocessing  # only a pool needs it, and its import costs ~10 ms
+
         with multiprocessing.Pool(processes=workers) as pool:
             yield from pool.imap(evaluate, items, chunksize=_POOL_BATCH)
 
@@ -271,6 +273,24 @@ def _prefix_sha256(path: Path, size: int):
             lines += chunk.count(b"\n")
             size -= len(chunk)
     return digest, lines
+
+
+def _check_replay(summary: ScanSummary, path: Path, records: int) -> None:
+    """ScanError unless absorbing the first `records` records of the file at
+    `path` rebuilds the total and the dk tables of `summary`."""
+    replayed = ScanSummary(summary.source_id, summary.checks, skipped=summary.skipped)
+    with open(path, "rb") as f:
+        for number, line in enumerate(islice(f, records), 1):
+            try:
+                r = json.loads(line)
+                replayed.absorb(ScanRecord(r["index"], r["graph6"], r["n"], r["edge_count"], r))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ScanError(f"record {number} of {path} cannot be read: {exc!r}") from None
+    if replayed != summary:
+        raise ScanError(
+            f"checkpoint's summary state disagrees with the {records} records of {path}: "
+            f"they give {replayed.to_state()}"
+        )
 
 
 def scan_stream(
@@ -349,6 +369,7 @@ def scan_stream(
                     f"record file {out_path} differs from the {records_bytes} "
                     f"bytes and {summary.total} records its checkpoint covers"
                 )
+            _check_replay(summary, out_path, records)
             out_file = open(out_path, "r+", encoding="utf-8")
             out_file.truncate(records_bytes)
             out_file.seek(records_bytes)

@@ -97,7 +97,10 @@ def check_theorem1(g: Graph) -> Theorem1Report:
     Class domination and the per-vertex tally both follow the own-singleton
     convention; the raw (cross, own-singleton) counts are recorded per
     coloring so the stricter reading can be audited. The colorings continue
-    the report's own chi_d search, so chi and chi_d are computed once.
+    the report's own chi_d search, so chi and chi_d are computed once. When
+    the last report computed in this process is of a graph equal to G (as
+    after `compute_report(g)`), that report is reused and the colorings
+    restart from its chi_d witness, so nothing is computed twice.
     """
     report, colorings = _report(g)
     if report.dk is None:

@@ -322,6 +322,12 @@ def _corrupt_state(**fields):
         (_corrupt_state(dk_counts={"2": 500}), "sum to at most 21"),
         (_corrupt_state(dk_counts={"2": 0}), "dk counts must be >= 1"),
         (_corrupt_state(total=20, skipped=[[20, 21]]), "bytes and 20 records its checkpoint"),
+        # well-formed, but not what the 21 records hold: resumed, it wrote the
+        # summary row 2,2,5,D~{ and exited 0
+        (
+            _corrupt_state(dk_counts={"2": 2}, dk_first_graph6={"2": "D~{"}),
+            "summary state disagrees with the 21 records",
+        ),
         (_corrupt_state(dk_min_n={"2": -3}), "dk entry 2 needs 1 <= k <= min_n (-3)"),
         (_corrupt_state(dk_first_graph6={"2": "not graph6,1"}), "not 'not graph6,1'"),
         (

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -148,7 +149,7 @@ def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch):
         def imap(self, func, items, chunksize=1):
             return map(func, items)
 
-    monkeypatch.setattr(scan.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     lines = lines_for(4)
     expected = []
     scan_stream(lines, records_sink=expected, source_id="n4")

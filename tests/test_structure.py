@@ -24,7 +24,14 @@ from domchrom.graphs import (
     from_edge_list,
     is_connected,
 )
-from domchrom.invariants import Coloring, is_total_dominating_set
+from domchrom import invariants
+from domchrom.invariants import (
+    Coloring,
+    DisconnectedError,
+    compute_report,
+    enumerate_optimal_dominator_colorings,
+    is_total_dominating_set,
+)
 from oracles import (
     blocks_are_independent,
     set_partitions,
@@ -416,3 +423,89 @@ def test_membership_deadline_checked_within_one_candidate(monkeypatch):
     with pytest.raises(DeadlineExceeded):
         is_in_class_d3(godd, deadline_secs=5.0)
     assert len(matched) == 1
+
+
+# ---------------------------------------------------------------------------
+# The remembered report: a report of a graph equal to the last one reported
+# is reused, and must give what a cold call gives
+
+
+def _family_graphs():
+    """The nine constructions the benchmark certifies."""
+    odd = [build_d_odd(DOddSpec(k, n))[0] for k, n in ((3, 9), (3, 10), (3, 13), (5, 17), (5, 19))]
+    even = [build_d_even(DEvenSpec(k, n))[0] for k, n in ((4, 12), (4, 13), (4, 16), (6, 18))]
+    return odd + even
+
+
+def _small_and_family_graphs():
+    return [g for n in range(1, 7) for g in enumerate_connected(n)] + _family_graphs()
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def _unreachable(*args):
+    raise AssertionError("the remembered report was not used")
+
+
+def test_theorem1_after_a_report_equals_a_cold_check(monkeypatch):
+    # also when the second call gets an equal but distinct Graph object; the
+    # stages, stubbed out, must not run again
+    stages = invariants._stages
+    for g in _small_and_family_graphs():
+        monkeypatch.setattr(invariants, "_stages", stages)
+        monkeypatch.setattr(invariants, "_last_report", None)
+        cold = _outcome(check_theorem1, g)
+        for same in (g, Graph(g.n, g.adj)):
+            monkeypatch.setattr(invariants, "_stages", stages)
+            monkeypatch.setattr(invariants, "_last_report", None)
+            report = compute_report(g)
+            monkeypatch.setattr(invariants, "_stages", _unreachable)
+            warm = _outcome(check_theorem1, same)
+            assert warm == cold
+            assert type(warm) is tuple or warm.report is report
+
+
+def test_alternating_graphs_each_get_their_own_report(monkeypatch):
+    # two graphs of order 13, and two of order 6
+    families = _family_graphs()
+    path6 = from_edge_list(6, [(v, v + 1) for v in range(5)])
+    graphs = [families[2], families[6], BRIDGED_TRIANGLES, path6]
+    reports, checks = {}, {}
+    for g in graphs:
+        monkeypatch.setattr(invariants, "_last_report", None)
+        reports[g] = compute_report(g)
+        monkeypatch.setattr(invariants, "_last_report", None)
+        checks[g] = _outcome(check_theorem1, g)
+    for g in graphs * 2 + graphs[::-1]:
+        assert compute_report(g) == reports[g]
+        assert _outcome(check_theorem1, g) == checks[g]
+    assert len({reports[g] for g in graphs}) == len(graphs)
+
+
+def test_enumeration_after_a_report_equals_a_cold_enumeration(monkeypatch):
+    proper_stage = invariants._proper_stage
+    for g in _small_and_family_graphs():
+        monkeypatch.setattr(invariants, "_last_report", None)
+        chi_d = compute_report(g).chi_d
+        monkeypatch.setattr(invariants, "_proper_stage", _unreachable)
+        warm = list(enumerate_optimal_dominator_colorings(g, chi_d))
+        with pytest.raises(GraphError, match="does not equal"):
+            next(enumerate_optimal_dominator_colorings(g, chi_d + 1))
+        monkeypatch.setattr(invariants, "_proper_stage", proper_stage)
+        monkeypatch.setattr(invariants, "_last_report", None)
+        assert warm == list(enumerate_optimal_dominator_colorings(g, chi_d))
+
+
+def test_a_disconnected_graph_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(DisconnectedError):
+            compute_report(TWO_TRIANGLES)
+        with pytest.raises(DisconnectedError):
+            check_theorem1(TWO_TRIANGLES)
+        with pytest.raises(DisconnectedError):
+            next(enumerate_optimal_dominator_colorings(TWO_TRIANGLES, 2))
