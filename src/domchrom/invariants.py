@@ -713,9 +713,10 @@ def _remembered(g: Graph) -> tuple[InvariantReport, Iterator[Coloring]] | None:
     """The remembered report of G, and a new iterator over every optimal
     dominator coloring in lexicographic order, the report's witness first;
     None unless the last report `_report` computed is of a graph equal to G."""
-    if _last_report is None or _last_report[0] != g:
+    last = _last_report  # read once: another thread may replace it
+    if last is None or last[0] != g:
         return None
-    report = _last_report[1]
+    report = last[1]
     _, order = _search_order(g)
     state = _ColoringState(g, report.chi_d, _MODE_DOMINATOR)
     return report, _lex_colorings(state, order, report.chi_d_witness.assignment(g.n))

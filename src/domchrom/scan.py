@@ -284,7 +284,7 @@ def _check_replay(summary: ScanSummary, path: Path, records: int) -> None:
             try:
                 r = json.loads(line)
                 replayed.absorb(ScanRecord(r["index"], r["graph6"], r["n"], r["edge_count"], r))
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ScanError(f"record {number} of {path} cannot be read: {exc!r}") from None
     if replayed != summary:
         raise ScanError(

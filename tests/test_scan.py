@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -227,6 +228,23 @@ def test_resume_refuses_a_record_file_edited_in_place(tmp_path):
         scan_stream(lines, checks=("invariants",), out_path=out, checkpoint_path=cp, source_id="n5")
     # refused before the record file is touched
     assert out.read_text() == edited
+
+
+def test_resume_refuses_a_record_it_cannot_read(tmp_path):
+    # the record file and its checkpoint forged together: the prefix digest
+    # matches, but the first line is no record
+    lines = lines_for(5)
+    out, cp = tmp_path / "records.jsonl", tmp_path / "cp.json"
+    kwargs = dict(checks=("invariants",), out_path=out, checkpoint_path=cp, source_id="n5")
+    scan_stream(lines[:3], **kwargs)
+    data = b"[]\n" + out.read_bytes().split(b"\n", 1)[1]
+    out.write_bytes(data)
+    checkpoint = json.loads(cp.read_text())
+    checkpoint.update(records_bytes=len(data), records_sha256=hashlib.sha256(data).hexdigest())
+    cp.write_text(json.dumps(checkpoint))
+    with pytest.raises(ScanError, match="record 1 of .* cannot be read"):
+        scan_stream(lines, **kwargs)
+    assert out.read_bytes() == data
 
 
 def test_resume_refuses_a_deleted_record_file(tmp_path):
