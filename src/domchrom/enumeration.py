@@ -58,7 +58,9 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 # extend_connected tells a complete parent set
 _CLASS_COUNTS = {**CONNECTED_COUNTS, 8: 11117, 9: 261080, 10: 11716571}
 
-_CANDIDATE_CAP = 1 << 22
+# Search nodes (stack pops) one canonical form may take; no order-8 graph takes
+# more than 148.
+_SEARCH_NODES = 1 << 14
 
 
 def _refined_cells(g: Graph) -> list[int]:
@@ -118,23 +120,16 @@ def _labelled_search(g: Graph) -> tuple[int, list[list[int]], list[int]]:
     """
     n = g.n
     adj = g.adj
-    cells = _refined_cells(g)
-    total = 1
-    for cell in cells:
-        for i in range(2, cell.bit_count() + 1):
-            total *= i
-        if total > _CANDIDATE_CAP:
-            raise GraphError(
-                f"canonical form search space too large ({total}+ orderings)"
-            )
     best = -1
     best_order: list[int] = []
     automorphisms: list[list[int]] = []
     path = [0] * n  # path[i] is the vertex placed at position i on this branch
     # (cells of the unplaced positions, their vertex count, code of the placed
     # rows, the vertex placed last); the entry's depth is n - count
-    stack = [(cells, n, 0, -1)]
-    while stack:
+    stack = [(_refined_cells(g), n, 0, -1)]
+    for _ in range(_SEARCH_NODES):
+        if not stack:
+            break
         cells, m, code, v = stack.pop()
         depth = n - m
         if depth:
@@ -199,6 +194,8 @@ def _labelled_search(g: Graph) -> tuple[int, list[list[int]], list[int]]:
                 if c & a:
                     split.append(c & a)
             stack.append((split, m, code, v))
+    if stack:
+        raise GraphError(f"canonical form search space too large (over {_SEARCH_NODES} nodes)")
     return best, automorphisms, best_order
 
 

@@ -6,10 +6,11 @@ reason it is skipped, and the parent writes the records in input order, so
 identical inputs yield byte-identical outputs at any job count. One writer
 saves checkpoints atomically (write-new-then-rename), which bind to the
 source via an identity string and to the record file via the sha256 of its
-checkpointed prefix. Resuming refuses a checkpoint unlike the ones `save`
-writes, checks that prefix, rebuilds the aggregates from its records,
-refuses a checkpoint whose summary disagrees with them, and truncates the
-record file to the checkpointed byte count.
+checkpointed prefix. A resume takes a checkpoint only as `save` writes it
+(each field and summary value, coerced, must dump back to the JSON read),
+then reads that prefix once, line by line: it must end a record, hash to
+the checkpointed sha256 and rebuild the summary. Only then is the record
+file truncated to it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, get_origin, get_type_hints
+from typing import Callable, Collection, Iterable, Mapping
 
 from .enumeration import MAX_BUILTIN_ORDER, enumerate_connected
 from .graph6 import iter_graph6_lines, parse_graph6, to_graph6
@@ -84,7 +85,6 @@ class ScanSummary:
         self.total += 1
         dk = record.fields.get("dk")
         if dk is not None:
-            dk = int(dk)
             self.dk_counts[dk] = self.dk_counts.get(dk, 0) + 1
             if dk not in self.dk_min_n or record.n < self.dk_min_n[dk]:
                 self.dk_min_n[dk] = record.n
@@ -111,22 +111,8 @@ class ScanSummary:
     ) -> "ScanSummary":
         """The summary a checkpoint at last_index holds; ScanError unless it
         is one `to_state` could have written there."""
-        try:
-            tables = {name: {int(k): v for k, v in state[name].items()} for name, _ in _DK_TABLES}
-            summary = ScanSummary(
-                source_id, checks, state["total"], list(state["skipped"]), **tables
-            )
-            if type(summary.total) is not int or any(
-                type(v) is not kind for name, kind in _DK_TABLES for v in tables[name].values()
-            ):
-                raise TypeError("total and the dk tables must hold integers or graph6 strings")
-            if type(state["skipped"]) is not list or any(
-                type(entry) is not list or len(entry) != 2 or any(type(x) is not int for x in entry)
-                for entry in summary.skipped
-            ):
-                raise TypeError("skipped must be a list of [index, line] integer pairs")
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ScanError(f"checkpoint summary state is malformed: {exc!r}") from None
+        fields = _as_written("checkpoint summary state", state, _STATE_FIELDS)
+        summary = ScanSummary(source_id, checks, **fields)
         indices = [index for index, _ in summary.skipped]
         lines = [line for _, line in summary.skipped]
         counts = summary.dk_counts.values()
@@ -185,23 +171,45 @@ class Checkpoint:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
             raise ScanError(f"checkpoint {path} cannot be read: {exc}") from None
-        if isinstance(data, dict) and "records_sha256" not in data:
-            raise ScanError(
-                f"checkpoint {path} has no records_sha256, so its record file "
-                "cannot be checked; delete the checkpoint and scan again"
-            )
-        hints = get_type_hints(Checkpoint)
-        if not isinstance(data, dict) or data.keys() != hints.keys():
-            raise ScanError(f"checkpoint {path} must hold exactly the fields {sorted(hints)}")
-        for name, hint in hints.items():
-            kind = get_origin(hint) or hint
-            if kind is tuple and type(data[name]) is list:  # JSON has no tuples
-                data[name] = tuple(data[name])
-            if type(data[name]) is not kind:
-                raise ScanError(f"checkpoint {path}: {name} must be of type {kind.__name__}")
-        if data["last_index"] < -1 or data["records_bytes"] < 0:
+        fields = _as_written(f"checkpoint {path}", data, _CHECKPOINT_FIELDS)
+        if fields["last_index"] < -1 or fields["records_bytes"] < 0:
             raise ScanError(f"checkpoint {path}: last_index or records_bytes is negative")
-        return Checkpoint(**data)
+        return Checkpoint(**fields)
+
+
+def _as_written(what: str, data: object, kinds: Mapping[str, tuple[Callable, str]]) -> dict:
+    """The fields of the JSON object `data`, each rebuilt by its kind in
+    `kinds`; ScanError, naming the field, unless `data` has exactly those
+    fields and each dumps back to the same JSON (not so "1", true, 2.0,
+    1e999 or a key "02" where an integer is due)."""
+    if not isinstance(data, dict) or data.keys() != kinds.keys():
+        raise ScanError(f"{what} is malformed: it must hold exactly the fields {sorted(kinds)}")
+    fields = {}
+    for name, (kind, description) in kinds.items():
+        try:
+            fields[name] = kind(data[name])
+        except (AttributeError, OverflowError, TypeError, ValueError):
+            pass
+        if name not in fields or json.dumps(fields[name]) != json.dumps(data[name]):
+            raise ScanError(f"{what} is malformed: {name} must be {description}, not {data[name]!r}")
+    return fields
+
+
+def _kinds(**kinds: type) -> dict[str, tuple[Callable, str]]:
+    return {name: (kind, f"of type {kind.__name__}") for name, kind in kinds.items()}
+
+
+_CHECKPOINT_FIELDS = _kinds(
+    source_id=str, checks=tuple, last_index=int, records_bytes=int, records_sha256=str, summary_state=dict
+)
+_STATE_FIELDS = {
+    **_kinds(total=int),
+    "skipped": (lambda pairs: [[int(i), int(x)] for i, x in pairs], "a list of [index, line] integer pairs"),
+    **{
+        name: (lambda t, kind=kind: {int(k): kind(v) for k, v in t.items()}, f"a table of {kind.__name__}")
+        for name, kind in _DK_TABLES
+    },
+}
 
 
 def source_id_for_bytes(kind: str, data: bytes) -> str:
@@ -259,38 +267,37 @@ def _iter_results(items, checks: tuple[str, ...], jobs: int):
 # Streaming scan
 
 
-def _prefix_sha256(path: Path, size: int):
-    """Running sha256 of the first `size` bytes of a file, read in chunks,
-    and the number of lines they end."""
+def _replay(path: Path, size: int, sha256: str, summary: ScanSummary):
+    """The running sha256 of the first `size` bytes of the record file at
+    `path`, read once, line by line; ScanError unless they end a record,
+    hash to `sha256` and hold records that rebuild `summary`."""
     digest = hashlib.sha256()
-    lines = 0
-    with open(path, "rb") as f:
-        while size > 0:
-            chunk = f.read(min(size, 1 << 20))
-            if not chunk:
-                break
-            digest.update(chunk)
-            lines += chunk.count(b"\n")
-            size -= len(chunk)
-    return digest, lines
-
-
-def _check_replay(summary: ScanSummary, path: Path, records: int) -> None:
-    """ScanError unless absorbing the first `records` records of the file at
-    `path` rebuilds the total and the dk tables of `summary`."""
     replayed = ScanSummary(summary.source_id, summary.checks, skipped=summary.skipped)
+    left = size
     with open(path, "rb") as f:
-        for number, line in enumerate(islice(f, records), 1):
+        while left > 0:
+            line = f.readline(left)
+            left -= len(line)
+            digest.update(line)
+            number = replayed.total + 1  # absorb counts a record before reading its dk
+            if not line.endswith(b"\n"):
+                raise ScanError(f"the checkpointed bytes of {path} end inside record {number}")
             try:
                 r = json.loads(line)
                 replayed.absorb(ScanRecord(r["index"], r["graph6"], r["n"], r["edge_count"], r))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ScanError(f"record {number} of {path} cannot be read: {exc!r}") from None
+    if digest.hexdigest() != sha256 or replayed.total != summary.total:
+        raise ScanError(
+            f"record file {path} differs from the {size} bytes and {summary.total} "
+            "records its checkpoint covers"
+        )
     if replayed != summary:
         raise ScanError(
-            f"checkpoint's summary state disagrees with the {records} records of {path}: "
+            f"checkpoint's summary state disagrees with the {summary.total} records of {path}: "
             f"they give {replayed.to_state()}"
         )
+    return digest
 
 
 def scan_stream(
@@ -328,6 +335,8 @@ def scan_stream(
     for i, path in enumerate(written):
         if path in written[:i]:
             raise ScanError(f"two of the record, summary, checkpoint and checkpoint .tmp files are {path}")
+    if tmp is not None and tmp.is_dir():
+        raise ScanError(f"cannot write {tmp}, which a checkpoint save writes first: it is a directory")
 
     resume_from = -1
     summary = ScanSummary(source_id=source_id, checks=checks_t)
@@ -354,22 +363,14 @@ def scan_stream(
         out_path = Path(out_path)
         if resume_from >= 0:
             if not out_path.exists():
-                raise ScanError(
-                    f"checkpoint expects an existing record file at {out_path}"
-                )
+                raise ScanError(f"checkpoint expects an existing record file at {out_path}")
             size = out_path.stat().st_size
             if size < records_bytes:
                 raise ScanError(
                     f"record file {out_path} has {size} bytes, fewer than the "
                     f"{records_bytes} its checkpoint covers"
                 )
-            records_hash, records = _prefix_sha256(out_path, records_bytes)
-            if records_hash.hexdigest() != cp.records_sha256 or records != summary.total:
-                raise ScanError(
-                    f"record file {out_path} differs from the {records_bytes} "
-                    f"bytes and {summary.total} records its checkpoint covers"
-                )
-            _check_replay(summary, out_path, records)
+            records_hash = _replay(out_path, records_bytes, cp.records_sha256, summary)
             out_file = open(out_path, "r+", encoding="utf-8")
             out_file.truncate(records_bytes)
             out_file.seek(records_bytes)

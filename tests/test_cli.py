@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -289,6 +290,14 @@ def _corrupt_summary_state(text):
     return json.dumps(dict(json.loads(text), summary_state={"total": 3}))
 
 
+def _corrupt_last_index(raw):
+    # JSON text Python would not write for an integer, spliced in as is
+    def corrupt(text):
+        return re.sub(r'"last_index": \d+', f'"last_index": {raw}', text)
+
+    return corrupt
+
+
 def _corrupt_state(**fields):
     def corrupt(text):
         payload = json.loads(text)
@@ -304,9 +313,16 @@ def _corrupt_state(**fields):
         (_corrupt_text, "cannot be read"),
         (_corrupt_drop_field, "exactly the fields"),
         (_corrupt_field_type, "last_index must be of type int"),
+        # int() takes each of these; only the round trip to JSON tells them apart
+        (_corrupt_last_index("Infinity"), "last_index must be of type int, not inf"),
+        (_corrupt_last_index("1e999"), "last_index must be of type int, not inf"),
+        (_corrupt_last_index("true"), "last_index must be of type int, not True"),
+        (_corrupt_last_index("20.0"), "last_index must be of type int, not 20.0"),
         (_corrupt_negative_index, "is negative"),
         (_corrupt_summary_state, "summary state is malformed"),
         (_corrupt_state(total="21"), "summary state is malformed"),
+        (_corrupt_state(dk_counts={"02": 1}), "dk_counts must be a table of int"),
+        (_corrupt_state(extra=0), "summary state is malformed: it must hold exactly the fields"),
         (_corrupt_state(dk_counts={"2": "1"}), "summary state is malformed"),
         (_corrupt_state(skipped="xyz"), "[index, line] integer pairs"),
         (_corrupt_state(skipped=[[0, 1, 2]]), "[index, line] integer pairs"),
@@ -343,11 +359,12 @@ def test_scan_refuses_a_malformed_checkpoint(capsys, tmp_path, corrupt, message)
     argv = ["scan", "--source", str(src), "--out", str(out), "--checkpoint", str(cp)]
     assert run_cli(capsys, argv)[0] == 0
     records = out.read_bytes()
-    cp.write_text(corrupt(cp.read_text()))
+    forged = corrupt(cp.read_text())
+    cp.write_text(forged)
     code, stdout, err = run_cli(capsys, argv)
     assert code == 2 and stdout == ""
     assert err.startswith("error:") and message in err
-    assert out.read_bytes() == records
+    assert out.read_bytes() == records and cp.read_text() == forged
 
 
 def test_scan_refuses_a_source_file_that_is_not_utf8(capsys, tmp_path):
@@ -421,6 +438,24 @@ def test_scan_refuses_two_outputs_that_name_one_file(capsys, tmp_path, monkeypat
         assert err.startswith("error:") and str(tmp_path.resolve() / paths[1]) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == existing
         assert all((tmp_path / name).read_bytes() == b"kept\n" for name in existing)
+
+
+def test_scan_refuses_a_directory_at_the_checkpoint_tmp_path(capsys, tmp_path, monkeypatch):
+    # save writes cp.json.tmp before renaming it onto cp.json: refused before
+    # any graph is evaluated, not after the whole scan
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cp.json.tmp").mkdir()
+
+    def evaluate(*args):
+        raise AssertionError("a graph was evaluated")
+
+    monkeypatch.setattr(scanmod, "_evaluate", evaluate)
+    code, stdout, err = run_cli(
+        capsys, ["scan", "--builtin", "5", "--out", "r.jsonl", "--checkpoint", "cp.json"]
+    )
+    assert code == 2 and stdout == "" and err.count("\n") == 1
+    assert err.startswith("error:") and "cp.json.tmp" in err and "directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cp.json.tmp"]
 
 
 def test_deadline_env_rejected_when_malformed(capsys, monkeypatch):

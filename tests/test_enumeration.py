@@ -203,16 +203,28 @@ def test_canonical_form_equals_refined_brute_force(graphs, count):
     assert checked == count
 
 
+def _complete(n):
+    return Graph(n, [((1 << n) - 1) ^ 1 << v for v in range(n)])
+
+
+def _circulant(n, steps):
+    return from_edge_list(n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}))
+
+
 @pytest.mark.parametrize(
     "g",
     [
-        pytest.param(Graph(11, [0] * 11), id="edgeless-11"),
-        pytest.param(Graph(11, [((1 << 11) - 1) ^ 1 << v for v in range(11)]), id="K11"),
+        pytest.param(_complete(40), id="K40"),
+        pytest.param(
+            from_edge_list(48, [(i + a, i + b) for i in range(0, 48, 3) for a, b in ((0, 1), (1, 2), (0, 2))]),
+            id="16K3",
+        ),
     ],
 )
 def test_canonical_form_refuses_large_search_space(g):
-    # one refinement cell of 11 vertices: 11! orders exceed the cap, and the
-    # check must come from the cell sizes alone, before any search
+    # one refinement cell of 40 or 48 vertices: the search stops, always at
+    # the same node, once it has taken the bound on stack pops (K40 needs
+    # 20,580 of them, 16K3 16,808)
     start = time.perf_counter()
     with pytest.raises(GraphError, match="canonical form search space too large"):
         canonical_form(g)
@@ -238,13 +250,16 @@ def test_extend_connected_rejects_empty_input():
 @pytest.mark.parametrize(
     "g, form",
     [
-        pytest.param(Graph(10, [((1 << 10) - 1) ^ 1 << v for v in range(10)]), (1 << 45) - 1, id="K10"),
+        pytest.param(_complete(10), (1 << 45) - 1, id="K10"),
         pytest.param(Graph(10, [0] * 10), 0, id="edgeless-10"),
+        pytest.param(_complete(11), (1 << 55) - 1, id="K11"),
+        pytest.param(Graph(11, [0] * 11), 0, id="edgeless-11"),
     ],
 )
 def test_canonical_form_of_one_large_cell_is_fast(g, form):
-    # one refinement cell of 10 vertices, 10! orders below the cap; the
-    # automorphisms found at equal leaves prune all but one branch per level
+    # one refinement cell of 10 or 11 vertices, n! orders; the automorphisms
+    # found at equal leaves prune all but one branch per level (K11 takes 396
+    # stack pops)
     start = time.perf_counter()
     assert canonical_form(g) == form
     assert time.perf_counter() - start < 2.0
@@ -267,13 +282,30 @@ def test_canonical_form_of_one_large_cell_is_fast(g, form):
     ],
 )
 def test_canonical_form_is_relabelling_invariant_on_symmetric_order_10(g):
+    assert len(_forms_under_relabelling(g)) == 1
+
+
+def _forms_under_relabelling(g):
     rng = random.Random(10)
     forms = {canonical_form(g)}
     for _ in range(3):
         perm = list(range(g.n))
         rng.shuffle(perm)
         forms.add(canonical_form(g.permuted(perm)))
-    assert len(forms) == 1
+    return forms
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(_circulant(11, [1]), id="C11"),
+        pytest.param(_circulant(11, [1, 2]), id="C11(1,2)"),
+    ],
+)
+def test_canonical_form_is_relabelling_invariant_on_one_cell_of_order_11(g):
+    # vertex-transitive, so refinement leaves one cell of 11 vertices
+    assert len(_refined_cells(g)) == 1
+    assert len(_forms_under_relabelling(g)) == 1
 
 
 def _group_order(n, generators):

@@ -247,6 +247,32 @@ def test_resume_refuses_a_record_it_cannot_read(tmp_path):
     assert out.read_bytes() == data
 
 
+@pytest.mark.parametrize("cut", ["5-bytes-into-the-last-record", "no-final-newline"])
+def test_resume_refuses_a_prefix_that_ends_inside_a_record(tmp_path, cut):
+    # record file and checkpoint forged together: the digest, last_index and
+    # summary all fit the 9 whole records of the prefix, but its last bytes
+    # begin a 10th record (or are the 9th without its newline), which a
+    # resume would glue to the record it writes next
+    lines = lines_for(5)
+    out, cp = tmp_path / "records.jsonl", tmp_path / "cp.json"
+    kwargs = dict(checks=("invariants",), out_path=out, checkpoint_path=cp, source_id="n5")
+    scan_stream(lines[:10], **kwargs)
+    data = out.read_bytes()
+    size = data.rindex(b"\n", 0, -1) + 1 + 5 if cut.startswith("5") else len(data) - 1
+    whole = data[:size].count(b"\n")
+    cp.unlink()
+    scan_stream(lines[:whole], **kwargs)
+    out.write_bytes(data)
+    checkpoint = json.loads(cp.read_text())
+    checkpoint.update(records_bytes=size, records_sha256=hashlib.sha256(data[:size]).hexdigest())
+    assert checkpoint["last_index"] == whole - 1 == checkpoint["summary_state"]["total"] - 1 == 8
+    forged = json.dumps(checkpoint)
+    cp.write_text(forged)
+    with pytest.raises(ScanError, match=f"bytes of .* end inside record {whole + 1}"):
+        scan_stream(lines, **kwargs)
+    assert out.read_bytes() == data and cp.read_text() == forged
+
+
 def test_resume_refuses_a_deleted_record_file(tmp_path):
     lines = lines_for(5)
     out = tmp_path / "records.jsonl"
@@ -284,7 +310,7 @@ def test_resume_refuses_a_checkpoint_without_a_records_digest(tmp_path):
     payload = json.loads(cp.read_text())
     del payload["records_sha256"]
     cp.write_text(json.dumps(payload))
-    with pytest.raises(ScanError, match="no records_sha256"):
+    with pytest.raises(ScanError, match="exactly the fields"):
         scan_stream(lines, checks=("invariants",), out_path=out, checkpoint_path=cp, source_id="n4")
 
 
