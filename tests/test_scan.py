@@ -251,7 +251,7 @@ def test_resume_refuses_a_record_it_cannot_read(tmp_path):
 def test_resume_refuses_a_prefix_that_ends_inside_a_record(tmp_path, cut):
     # record file and checkpoint forged together: the digest, last_index and
     # summary all fit the 9 whole records of the prefix, but its last bytes
-    # begin a 10th record (or are the 9th without its newline), which a
+    # begin a 10th record (or are all of the 10th but its newline), which a
     # resume would glue to the record it writes next
     lines = lines_for(5)
     out, cp = tmp_path / "records.jsonl", tmp_path / "cp.json"
