@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Iterator, Mapping, Sequence
+from operator import or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import Graph, GraphError, VertexLabeling, from_edge_list, iter_bits
 from .invariants import _dominators
@@ -222,36 +223,51 @@ class BlueprintVerdict:
         return self.ok
 
 
+def _blueprint_joins(
+    a: int, b: int, at: Sequence[int], rule2: Iterable[int], rule3: Iterable[int]
+) -> tuple[list[tuple[int, int]], dict[int, tuple[int, int]]]:
+    """The edge rules of a blueprint of sizes (a, b) as joins (i, mask): the
+    vertex at canonical index i is joined to each vertex of mask, with index
+    j at vertex at[j]. Returns the joins of rules 1-3 and, for each rule-4
+    vertex i in index order, its two choices (to the opposite class, to x3)."""
+    bit = [1 << v for v in at]
+    v1_mask, v2_mask, x3_bit = sum(bit[:a]), sum(bit[a : a + b]), bit[a + b]
+    fixed = [
+        # rule 1: y1 joined to all of V1, y2 joined to all of V2
+        (a, v1_mask),
+        (1, v2_mask),
+        # rule 2: x1-x3 plus chosen extras in V2 - {y3}
+        (0, x3_bit | sum(bit[i] for i in rule2)),
+        # rule 3: y3-x3 plus chosen extras in V1 - {x1}
+        (a + 1, x3_bit | sum(bit[i] for i in rule3)),
+    ]
+    # rule 4: every remaining vertex joined to the opposite class or to x3
+    free = {i: (v2_mask, x3_bit) for i in range(2, a)}
+    free.update((i, (v1_mask, x3_bit)) for i in range(a + 2, a + b))
+    return fixed, free
+
+
+def _joined(
+    rows: Sequence[int], at: Sequence[int], joins: Iterable[tuple[int, int]]
+) -> tuple[int, ...]:
+    """rows with the vertex at[i] of each join (i, mask) joined to mask."""
+    rows = list(rows)
+    for i, mask in joins:
+        v = at[i]
+        rows[v] |= mask
+        for u in iter_bits(mask):
+            rows[u] |= 1 << v
+    return tuple(rows)
+
+
 def _blueprint_graph(bp: D3Blueprint, labels: Sequence[int] | None = None) -> Graph:
     """The graph the blueprint's edge rules give, with canonical index i at
     vertex labels[i] (by default at vertex i)."""
     n = bp.a + bp.b + 1
     at = range(n) if labels is None else labels
-    bit = [1 << v for v in at]
-    rows = [0] * n
-    v1_mask = sum(bit[: bp.a])
-    v2_mask = sum(bit[bp.a : bp.x3])
-    x3_bit = bit[bp.x3]
-
-    def join(i: int, mask: int) -> None:
-        rows[at[i]] |= mask
-        while mask:
-            low = mask & -mask
-            rows[low.bit_length() - 1] |= bit[i]
-            mask ^= low
-
-    # rule 1: y1 joined to all of V1, y2 joined to all of V2
-    join(bp.y1, v1_mask)
-    join(bp.y2, v2_mask)
-    # rule 2: x1-x3 plus chosen extras in V2 - {y3}
-    join(bp.x1, x3_bit | sum(bit[i] for i in bp.rule2_set))
-    # rule 3: y3-x3 plus chosen extras in V1 - {x1}
-    join(bp.y3, x3_bit | sum(bit[i] for i in bp.rule3_set))
-    # rule 4: every remaining vertex joined to the opposite class or to x3
-    for free, opposite in ((bp.v1_free(), v2_mask), (bp.v2_free(), v1_mask)):
-        for i in free:
-            join(i, opposite if bp.rule4_assign[i] == OPPOSITE else x3_bit)
-    return Graph(n, rows, _checked=True)
+    fixed, free = _blueprint_joins(bp.a, bp.b, at, bp.rule2_set, bp.rule3_set)
+    chosen = [(i, choices[bp.rule4_assign[i] != OPPOSITE]) for i, choices in free.items()]
+    return Graph(n, _joined([0] * n, at, fixed + chosen), _checked=True)
 
 
 def _check_shape(bp: D3Blueprint) -> None:
@@ -267,56 +283,68 @@ def _check_shape(bp: D3Blueprint) -> None:
             raise GraphError(f"rule4_assign[{v}] must be {OPPOSITE!r} or {SINGLETON!r}")
 
 
+def _class_masks(a: int, b: int) -> tuple[int, int, int, int]:
+    """The canonical masks of V1 and V2, and of their rule-4 (free)
+    vertices: V1 less x1 and y2, V2 less y1 and y3."""
+    v1_mask = (1 << a) - 1
+    v2_mask = (1 << a + b) - 1 & ~v1_mask
+    return v1_mask, v2_mask, v1_mask & ~0b11, v2_mask & ~(0b11 << a)
+
+
 def _rule_violations(
-    g: Graph, v1_mask: int, v2_mask: int, x3: int, free1: int, free2: int
-) -> list[tuple[str, tuple | None]]:
-    """The class rules G breaks, read off the dominator masks of V1 and V2;
-    free1 and free2 mask the rule-4 vertices of V1 and V2. Rule 4 joins each
-    to the opposite class or to x3, so only dominating both can fail."""
-    adj = g.adj
+    adj: Sequence[int], v1_mask: int, v2_mask: int, x3: int, free1: int, free2: int
+) -> Iterator[tuple[str, tuple | None]]:
+    """The class rules the graph with rows adj breaks, read off the dominator
+    masks of V1 and V2 and yielded one by one, so a caller that needs only a
+    verdict stops at the first; free1 and free2 mask the rule-4 vertices of
+    V1 and V2. Rule 4 joins each to the opposite class or to x3, so only
+    dominating both can fail."""
     dominators = _dominators(adj, (v1_mask, v2_mask))
-    violations: list[tuple[str, tuple | None]] = []
     # rule 4, exclusivity: no free vertex dominates the opposite class and x3
     for free, opposite, name in ((free1, dominators[1], "V2"), (free2, dominators[0], "V1")):
         for v in iter_bits(free & opposite & adj[x3]):
-            violations.append((f"rule4: dominates both {name} and V3", (v,)))
+            yield (f"rule4: dominates both {name} and V3", (v,))
     # rule 4, tail: x3 keeps at least two non-neighbors in each of V1, V2
     for mask, name in ((v1_mask, "V1"), (v2_mask, "V2")):
         if (mask & ~adj[x3]).bit_count() < 2:
-            violations.append((f"rule4-tail: x3 needs >= 2 non-neighbors in {name}", None))
+            yield (f"rule4-tail: x3 needs >= 2 non-neighbors in {name}", None)
     # rule 5: no cross pair that is each other's only non-neighbor
     for v in iter_bits(v1_mask):
         non_nbrs = v2_mask & ~adj[v]
         u = non_nbrs.bit_length() - 1
         if non_nbrs.bit_count() == 1 and v1_mask & ~adj[u] == 1 << v:
-            violations.append(("rule5: mutually unique non-neighbors", (v, u)))
-    return violations
+            yield ("rule5: mutually unique non-neighbors", (v, u))
+
+
+def _graph_and_violations(
+    bp: D3Blueprint,
+) -> tuple[Graph | None, tuple[tuple[str, tuple | None], ...]]:
+    """The blueprint's graph (None when a class is too small) and every
+    class rule it breaks, in the reader's order."""
+    violations = tuple((f"size: {name} >= 3 required", (size,))
+                       for name, size in (("a", bp.a), ("b", bp.b)) if size < 3)
+    if violations:
+        return None, violations
+    _check_shape(bp)
+    g = _blueprint_graph(bp)
+    v1_mask, v2_mask, free1, free2 = _class_masks(bp.a, bp.b)
+    return g, tuple(_rule_violations(g.adj, v1_mask, v2_mask, bp.x3, free1, free2))
 
 
 def validate_blueprint(bp: D3Blueprint) -> BlueprintVerdict:
     """Check the built graph against the class rules; list violations."""
-    violations = [(f"size: {name} >= 3 required", (size,))
-                  for name, size in (("a", bp.a), ("b", bp.b)) if size < 3]
-    if violations:
-        return BlueprintVerdict(False, tuple(violations))
-    _check_shape(bp)
-    v1_mask = (1 << bp.a) - 1
-    v2_mask = (1 << bp.x3) - 1 & ~v1_mask
-    # the free vertices: V1 less x1 and y2, V2 less y1 and y3
-    free1, free2 = v1_mask & ~0b11, v2_mask & ~(0b11 << bp.a)
-    violations = _rule_violations(_blueprint_graph(bp), v1_mask, v2_mask, bp.x3, free1, free2)
-    return BlueprintVerdict(not violations, tuple(violations))
+    _, violations = _graph_and_violations(bp)
+    return BlueprintVerdict(not violations, violations)
 
 
 def build_d3(bp: D3Blueprint) -> tuple[Graph, VertexLabeling]:
     """Build the blueprint's graph; raises when any class rule is violated."""
-    verdict = validate_blueprint(bp)
-    if not verdict.ok:
+    g, violations = _graph_and_violations(bp)
+    if violations:
         details = "; ".join(
-            name + (f" witness {w}" if w else "") for name, w in verdict.violations
+            name + (f" witness {w}" if w else "") for name, w in violations
         )
         raise GraphError(f"blueprint violates the class rules: {details}")
-    g = _blueprint_graph(bp)
     n = g.n
     labeling = VertexLabeling(
         {
@@ -335,24 +363,49 @@ def build_d3(bp: D3Blueprint) -> tuple[Graph, VertexLabeling]:
     return g, labeling
 
 
+def _walk(
+    rows: tuple[int, ...], steps: Sequence[tuple[tuple[int, ...], ...]]
+) -> Iterator[tuple[int, ...]]:
+    """Depth first over one choice per step, the first step outermost and
+    each step's choices in order: rows OR the chosen rows of every step."""
+    if not steps:
+        yield rows
+        return
+    for choice in steps[0]:
+        yield from _walk(tuple(map(or_, rows, choice)), steps[1:])
+
+
 def enumerate_d3_blueprints(a: int, b: int) -> Iterator[D3Blueprint]:
     """Valid blueprints for class sizes (a, b) in a fixed deterministic order.
 
     The choice space is normalized: rule2/rule3 subsets range over the free
-    vertices only (adding y1 or y2 never changes the built graph).
+    vertices only (adding y1 or y2 never changes the built graph). The order
+    is rule-2 bits outermost, then rule-3 bits, then the rule-4 bits, where
+    bit j of each counts the j-th free vertex as chosen (for rule 4, joined
+    to x3). The walk shares rows: one base row set per (rule2, rule3), then
+    the rule-4 choices depth first with the highest free vertex outermost,
+    each OR-ing in that vertex's precomputed join, so the leaves come in
+    rule-4 bit order. Each leaf's rows go to `_rule_violations`, the one
+    reader of the class rules, which stops at the first break; only a valid
+    leaf becomes a `D3Blueprint`.
     """
     if a < 3 or b < 3:
         raise GraphError(f"class sizes must be >= 3, got ({a}, {b})")
+    at = range(a + b + 1)
+    v1_mask, v2_mask, free1, free2 = _class_masks(a, b)
     v1_free = list(range(2, a))
     v2_free = list(range(a + 2, a + b))
-    n_free = len(v1_free) + len(v2_free)
+    zero = (0,) * len(at)
+    _, free = _blueprint_joins(a, b, at, (), ())
+    steps = [tuple(_joined(zero, at, [(i, mask)]) for mask in free[i]) for i in reversed(free)]
     for r2_bits in range(1 << len(v2_free)):
         rule2 = frozenset(v for i, v in enumerate(v2_free) if r2_bits >> i & 1)
         for r3_bits in range(1 << len(v1_free)):
             rule3 = frozenset(v for i, v in enumerate(v1_free) if r3_bits >> i & 1)
-            for assign_bits in range(1 << n_free):
-                assign = {v: SINGLETON if assign_bits >> i & 1 else OPPOSITE
-                          for i, v in enumerate(v1_free + v2_free)}
-                bp = D3Blueprint(a, b, rule2, rule3, assign)
-                if validate_blueprint(bp).ok:
-                    yield bp
+            base = _joined(zero, at, _blueprint_joins(a, b, at, rule2, rule3)[0])
+            for assign_bits, rows in enumerate(_walk(base, steps)):
+                violations = _rule_violations(rows, v1_mask, v2_mask, a + b, free1, free2)
+                if next(violations, None) is None:
+                    assign = {v: SINGLETON if assign_bits >> i & 1 else OPPOSITE
+                              for i, v in enumerate(free)}
+                    yield D3Blueprint(a, b, rule2, rule3, assign)

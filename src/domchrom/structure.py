@@ -7,8 +7,8 @@ three-class family. Membership tries as x3 only the vertices on every odd
 cycle it finds, since G - x3 must be bipartite. It fixes y1 and y2 once per
 split of G - x3 and tries each (x1, y3) pair; it accepts the blueprint read
 off the roles when its edge rules rebuild G and G passes `_rule_violations`,
-the class-rule reader that `validate_blueprint` also calls, in
-constructions.py.
+the class-rule reader that `validate_blueprint` and `enumerate_d3_blueprints`
+also call, in constructions.py.
 """
 
 from __future__ import annotations
@@ -279,6 +279,7 @@ def _read_blueprint(
     rule2 = frozenset(i for i in range(a + 2, a + b) if adj[x1] >> order[i] & 1)
     rule3 = frozenset(i for i in range(2, a) if adj[y3] >> order[i] & 1)
     bp = D3Blueprint(a, b, rule2, rule3, rule4)
-    if _blueprint_graph(bp, order) != g or _rule_violations(g, v1_mask, v2_mask, x3, free1, free2):
+    if (_blueprint_graph(bp, order) != g
+            or next(_rule_violations(adj, v1_mask, v2_mask, x3, free1, free2), None) is not None):
         return None
     return bp

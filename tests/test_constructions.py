@@ -199,15 +199,33 @@ def candidate_blueprints(a: int, b: int):
                 yield D3Blueprint(a, b, rule2, rule3, dict(zip(v1_free + v2_free, combo)))
 
 
+def pool_order(bp: D3Blueprint) -> tuple[int, int, int]:
+    """The documented pool order: rule-2 bits, then rule-3 bits, then rule-4
+    bits, where bit j stands for the j-th free vertex (for rule 4, joined to x3)."""
+    free1, free2 = range(2, bp.a), range(bp.a + 2, bp.a + bp.b)
+    joined_to_x3 = {v for v, target in bp.rule4_assign.items() if target == SINGLETON}
+    choices = ((bp.rule2_set, free2), (bp.rule3_set, free1), (joined_to_x3, [*free1, *free2]))
+    return tuple(sum(1 << j for j, v in enumerate(free) if v in chosen) for chosen, free in choices)
+
+
 def test_enumerate_blueprints_counts_and_oracle():
     assert sum(1 for _ in enumerate_d3_blueprints(3, 3)) == 0
-    for a, b in [(3, 4), (4, 3), (4, 4)]:
-        mine = list(enumerate_d3_blueprints(a, b))
-        # independent brute force over the full choice space
-        oracle = [bp for bp in candidate_blueprints(a, b) if validate_blueprint(bp).ok]
-        assert len(mine) == len(oracle)
-        assert set(mine) == set(oracle)
-        assert len(set(mine)) == len(mine)  # distinct
+    pool = []
+    for a in (3, 4, 5):
+        for b in (3, 4, 5):
+            mine = [repr(bp) for bp in enumerate_d3_blueprints(a, b)]
+            # independent brute force over the full choice space, put in the
+            # documented order
+            oracle = sorted((bp for bp in candidate_blueprints(a, b) if validate_blueprint(bp).ok),
+                            key=pool_order)
+            assert mine == [repr(bp) for bp in oracle], (a, b)
+            assert len(set(mine)) == len(mine)  # distinct
+            pool += mine
+    # the order that `construct d3 --index` and the benchmark's per-index
+    # golden read, pinned by the reprs' sha256
+    assert len(pool) == 3268
+    digest = hashlib.sha256("".join(pool).encode()).hexdigest()
+    assert digest == "45133e35dce37a467334e24354b6442ebae3d9ed8455c609941c170940d1c022"
     with pytest.raises(GraphError):
         next(enumerate_d3_blueprints(2, 3))
 

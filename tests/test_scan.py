@@ -13,6 +13,7 @@ from domchrom.graph6 import parse_graph6, to_graph6
 from domchrom.graphs import complete_bipartite_parts, from_edge_list
 from domchrom.invariants import compute_report
 from domchrom.scan import (
+    KNOWN_CHECKS,
     Checkpoint,
     ScanError,
     min_order_scan,
@@ -196,6 +197,92 @@ def test_checkpoint_resume_is_byte_identical(tmp_path, monkeypatch):
     )
     assert part_out.read_bytes() == full_out.read_bytes()
     assert part_sum.read_bytes() == full_sum.read_bytes()
+
+
+ORDER8 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "order8.g6"
+
+
+class _Killed(Exception):
+    pass
+
+
+def _killed_after(lines, stop):
+    """The lines of a source whose reader dies after `stop` of them."""
+    yield from lines[:stop]
+    raise _Killed
+
+
+def test_a_resume_from_an_edited_checkpoint_refuses_or_matches(tmp_path, monkeypatch):
+    # 40 order-8 lines: the file's first 35 with its four D(k) graphs spread
+    # among them and one line that does not parse, so every summary field
+    # holds something (the file's first 40 lines hold no D(k) graph)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    import domchrom.scan as scan
+
+    text = ORDER8.read_text().split()
+    lines = text[:35]
+    for at, i in zip((3, 11, 19, 27), (1898, 4170, 6216, 7785)):
+        lines.insert(at, text[i])
+    lines.insert(15, "!!")
+    kwargs = dict(checks=("invariants",), source_id="order8-slice")
+    whole_out, whole_csv = tmp_path / "whole.jsonl", tmp_path / "whole.csv"
+    summary = scan_stream(lines, out_path=whole_out, summary_path=whole_csv, **kwargs)
+    assert len(lines) == 40 and len(summary.dk_counts) == 2 and len(summary.skipped) == 1
+    records = whole_out.read_bytes()
+    monkeypatch.setattr(scan, "_CHECKPOINT_EVERY", 8)
+
+    n = len(lines)
+    # one field each, as (path, value): a checkpoint field, a summary count
+    # or list, or the entry for some k <= 8 of a dk table (which may not hold k)
+    def field(*path, values):
+        return st.tuples(st.just(path), values)
+
+    def entry(table, values):
+        return st.tuples(st.integers(1, 8).map(lambda k: ("summary_state", table, str(k))), values)
+
+    edits = st.sampled_from([
+        field("source_id", values=st.sampled_from(["order8-slice", "order8", source_id_for_builtin(8)])),
+        field("checks", values=st.lists(st.sampled_from(KNOWN_CHECKS), min_size=1, unique=True)),
+        field("last_index", values=st.integers(-1, n - 1)),
+        field("records_bytes", values=st.integers(0, len(records))),
+        field("records_sha256", values=st.integers(0, len(records)).map(
+            lambda size: hashlib.sha256(records[:size]).hexdigest())),
+        field("summary_state", "total", values=st.integers(0, n)),
+        field("summary_state", "skipped", values=st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(1, n)).map(list), max_size=3)),
+        entry("dk_counts", st.integers(1, n)),
+        entry("dk_min_n", st.integers(1, 8)),
+        entry("dk_first_graph6", st.sampled_from(lines)),
+    ]).flatmap(lambda edit: edit)
+    outcomes = []
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(stop=st.integers(8, n - 1), edit=edits)
+    def resume(stop, edit):
+        part = tmp_path / f"part{len(outcomes)}"
+        part.mkdir()
+        out, csv, cp = part / "records.jsonl", part / "summary.csv", part / "cp.json"
+        paths = dict(out_path=out, summary_path=csv, checkpoint_path=cp)
+        with pytest.raises(_Killed):
+            scan_stream(_killed_after(lines, stop), **paths, **kwargs)
+        checkpoint = json.loads(cp.read_text())
+        (*parents, name), value = edit
+        table = checkpoint
+        for key in parents:
+            table = table[key]
+        table[name] = value
+        cp.write_text(json.dumps(checkpoint))
+        try:
+            scan_stream(lines, **paths, **kwargs)
+        except ScanError:
+            outcomes.append("refused")
+            return
+        assert out.read_bytes() == records and csv.read_bytes() == whole_csv.read_bytes(), edit
+        outcomes.append("matched")
+
+    resume()
+    assert "refused" in outcomes
 
 
 def test_resume_accepts_a_first_dk_graph_above_the_least_order(tmp_path):
