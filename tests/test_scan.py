@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -234,12 +235,15 @@ def test_a_resume_from_an_edited_checkpoint_refuses_or_matches(tmp_path, monkeyp
 
     n = len(lines)
     # one field each, as (path, value): a checkpoint field, a summary count
-    # or list, or the entry for some k <= 8 of a dk table (which may not hold k)
+    # or list, or the entry for some k <= 8 of a dk table, drawn as often
+    # from the k the whole scan holds as from all k (which it may not hold)
+    keys = st.one_of(st.sampled_from(sorted(summary.dk_counts)), st.integers(1, 8))
+
     def field(*path, values):
         return st.tuples(st.just(path), values)
 
     def entry(table, values):
-        return st.tuples(st.integers(1, 8).map(lambda k: ("summary_state", table, str(k))), values)
+        return st.tuples(keys.map(lambda k: ("summary_state", table, str(k))), values)
 
     edits = st.sampled_from([
         field("source_id", values=st.sampled_from(["order8-slice", "order8", source_id_for_builtin(8)])),
@@ -260,8 +264,7 @@ def test_a_resume_from_an_edited_checkpoint_refuses_or_matches(tmp_path, monkeyp
     @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
     @hypothesis.given(stop=st.integers(8, n - 1), edit=edits)
     def resume(stop, edit):
-        part = tmp_path / f"part{len(outcomes)}"
-        part.mkdir()
+        part = Path(tempfile.mkdtemp(dir=tmp_path))
         out, csv, cp = part / "records.jsonl", part / "summary.csv", part / "cp.json"
         paths = dict(out_path=out, summary_path=csv, checkpoint_path=cp)
         with pytest.raises(_Killed):
