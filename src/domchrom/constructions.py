@@ -11,6 +11,7 @@ are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, product
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -223,28 +224,35 @@ class BlueprintVerdict:
         return self.ok
 
 
-def _blueprint_joins(
-    a: int, b: int, at: Sequence[int], rule2: Iterable[int], rule3: Iterable[int]
-) -> tuple[list[tuple[int, int]], dict[int, tuple[int, int]]]:
-    """The edge rules of a blueprint of sizes (a, b) as joins (i, mask): the
-    vertex at canonical index i is joined to each vertex of mask, with index
-    j at vertex at[j]. Returns the joins of rules 1-3 and, for each rule-4
-    vertex i in index order, its two choices (to the opposite class, to x3)."""
+def _fixed_joins(
+    shape: D3Blueprint, at: Sequence[int], rule2: Iterable[int], rule3: Iterable[int]
+) -> list[tuple[int, int]]:
+    """The joins (i, mask) of rules 1-3 for the sizes of shape and the given
+    rule-2 and rule-3 sets: the vertex at canonical index i is joined to
+    each vertex of mask, with index j at vertex at[j]."""
     bit = [1 << v for v in at]
-    v1_mask, v2_mask, x3_bit = sum(bit[:a]), sum(bit[a : a + b]), bit[a + b]
-    fixed = [
+    x3_bit = bit[shape.x3]
+    return [
         # rule 1: y1 joined to all of V1, y2 joined to all of V2
-        (a, v1_mask),
-        (1, v2_mask),
+        (shape.y1, sum(bit[i] for i in shape.v1_vertices())),
+        (shape.y2, sum(bit[i] for i in shape.v2_vertices())),
         # rule 2: x1-x3 plus chosen extras in V2 - {y3}
-        (0, x3_bit | sum(bit[i] for i in rule2)),
+        (shape.x1, x3_bit | sum(bit[i] for i in rule2)),
         # rule 3: y3-x3 plus chosen extras in V1 - {x1}
-        (a + 1, x3_bit | sum(bit[i] for i in rule3)),
+        (shape.y3, x3_bit | sum(bit[i] for i in rule3)),
     ]
-    # rule 4: every remaining vertex joined to the opposite class or to x3
-    free = {i: (v2_mask, x3_bit) for i in range(2, a)}
-    free.update((i, (v1_mask, x3_bit)) for i in range(a + 2, a + b))
-    return fixed, free
+
+
+def _free_joins(shape: D3Blueprint, at: Sequence[int]) -> dict[int, tuple[int, int]]:
+    """Rule 4 for the sizes of shape: each remaining (free) index i, in
+    index order, mapped to its two join masks, to the opposite class and
+    to x3, laid out as in _fixed_joins."""
+    bit = [1 << v for v in at]
+    v1_mask = sum(bit[i] for i in shape.v1_vertices())
+    v2_mask = sum(bit[i] for i in shape.v2_vertices())
+    free = {i: (v2_mask, bit[shape.x3]) for i in shape.v1_free()}
+    free.update((i, (v1_mask, bit[shape.x3])) for i in shape.v2_free())
+    return free
 
 
 def _joined(
@@ -265,8 +273,9 @@ def _blueprint_graph(bp: D3Blueprint, labels: Sequence[int] | None = None) -> Gr
     vertex labels[i] (by default at vertex i)."""
     n = bp.a + bp.b + 1
     at = range(n) if labels is None else labels
-    fixed, free = _blueprint_joins(bp.a, bp.b, at, bp.rule2_set, bp.rule3_set)
-    chosen = [(i, choices[bp.rule4_assign[i] != OPPOSITE]) for i, choices in free.items()]
+    fixed = _fixed_joins(bp, at, bp.rule2_set, bp.rule3_set)
+    chosen = [(i, choices[bp.rule4_assign[i] != OPPOSITE])
+              for i, choices in _free_joins(bp, at).items()]
     return Graph(n, _joined([0] * n, at, fixed + chosen), _checked=True)
 
 
@@ -283,12 +292,11 @@ def _check_shape(bp: D3Blueprint) -> None:
             raise GraphError(f"rule4_assign[{v}] must be {OPPOSITE!r} or {SINGLETON!r}")
 
 
-def _class_masks(a: int, b: int) -> tuple[int, int, int, int]:
+def _class_masks(shape: D3Blueprint) -> tuple[int, int, int, int]:
     """The canonical masks of V1 and V2, and of their rule-4 (free)
     vertices: V1 less x1 and y2, V2 less y1 and y3."""
-    v1_mask = (1 << a) - 1
-    v2_mask = (1 << a + b) - 1 & ~v1_mask
-    return v1_mask, v2_mask, v1_mask & ~0b11, v2_mask & ~(0b11 << a)
+    return tuple(sum(1 << v for v in vertices) for vertices in (
+        shape.v1_vertices(), shape.v2_vertices(), shape.v1_free(), shape.v2_free()))
 
 
 def _rule_violations(
@@ -327,7 +335,7 @@ def _graph_and_violations(
         return None, violations
     _check_shape(bp)
     g = _blueprint_graph(bp)
-    v1_mask, v2_mask, free1, free2 = _class_masks(bp.a, bp.b)
+    v1_mask, v2_mask, free1, free2 = _class_masks(bp)
     return g, tuple(_rule_violations(g.adj, v1_mask, v2_mask, bp.x3, free1, free2))
 
 
@@ -363,16 +371,11 @@ def build_d3(bp: D3Blueprint) -> tuple[Graph, VertexLabeling]:
     return g, labeling
 
 
-def _walk(
-    rows: tuple[int, ...], steps: Sequence[tuple[tuple[int, ...], ...]]
-) -> Iterator[tuple[int, ...]]:
-    """Depth first over one choice per step, the first step outermost and
-    each step's choices in order: rows OR the chosen rows of every step."""
-    if not steps:
-        yield rows
-        return
-    for choice in steps[0]:
-        yield from _walk(tuple(map(or_, rows, choice)), steps[1:])
+def _subsets(vertices: Sequence[int]) -> Iterator[frozenset[int]]:
+    """Every subset of vertices, where bit j of the position counts
+    vertices[j] in."""
+    for bits in range(1 << len(vertices)):
+        yield frozenset(v for j, v in enumerate(vertices) if bits >> j & 1)
 
 
 def enumerate_d3_blueprints(a: int, b: int) -> Iterator[D3Blueprint]:
@@ -382,29 +385,30 @@ def enumerate_d3_blueprints(a: int, b: int) -> Iterator[D3Blueprint]:
     vertices only (adding y1 or y2 never changes the built graph). The order
     is rule-2 bits outermost, then rule-3 bits, then the rule-4 bits, where
     bit j of each counts the j-th free vertex as chosen (for rule 4, joined
-    to x3). The walk shares rows: one base row set per (rule2, rule3), then
-    the rule-4 choices depth first with the highest free vertex outermost,
-    each OR-ing in that vertex's precomputed join, so the leaves come in
-    rule-4 bit order. Each leaf's rows go to `_rule_violations`, the one
-    reader of the class rules, which stops at the first break; only a valid
-    leaf becomes a `D3Blueprint`.
+    to x3). The walk shares rows: the rule-4 joins of every choice are
+    OR-ed into leaf rows once per (a, b), in rule-4 bit order, and each
+    leaf is OR-ed into one base row set per (rule2, rule3). Each
+    candidate's rows go to `_rule_violations`, the one reader of the class
+    rules, which stops at the first break; only a valid candidate becomes a
+    `D3Blueprint`.
     """
     if a < 3 or b < 3:
         raise GraphError(f"class sizes must be >= 3, got ({a}, {b})")
+    shape = D3Blueprint(a, b)
     at = range(a + b + 1)
-    v1_mask, v2_mask, free1, free2 = _class_masks(a, b)
-    v1_free = list(range(2, a))
-    v2_free = list(range(a + 2, a + b))
+    v1_mask, v2_mask, free1, free2 = _class_masks(shape)
     zero = (0,) * len(at)
-    _, free = _blueprint_joins(a, b, at, (), ())
-    steps = [tuple(_joined(zero, at, [(i, mask)]) for mask in free[i]) for i in reversed(free)]
-    for r2_bits in range(1 << len(v2_free)):
-        rule2 = frozenset(v for i, v in enumerate(v2_free) if r2_bits >> i & 1)
-        for r3_bits in range(1 << len(v1_free)):
-            rule3 = frozenset(v for i, v in enumerate(v1_free) if r3_bits >> i & 1)
-            base = _joined(zero, at, _blueprint_joins(a, b, at, rule2, rule3)[0])
-            for assign_bits, rows in enumerate(_walk(base, steps)):
-                violations = _rule_violations(rows, v1_mask, v2_mask, a + b, free1, free2)
+    free = _free_joins(shape, at)
+    # product runs the highest free vertex outermost, so leaf number
+    # assign_bits joins the i-th free vertex to x3 when its bit i is set
+    steps = [[_joined(zero, at, [(i, mask)]) for mask in free[i]] for i in reversed(free)]
+    leaves = [tuple(reduce(or_, rows) for rows in zip(*combo)) for combo in product(*steps)]
+    for rule2 in _subsets(shape.v2_free()):
+        for rule3 in _subsets(shape.v1_free()):
+            base = _joined(zero, at, _fixed_joins(shape, at, rule2, rule3))
+            for assign_bits, leaf in enumerate(leaves):
+                rows = tuple(map(or_, base, leaf))
+                violations = _rule_violations(rows, v1_mask, v2_mask, shape.x3, free1, free2)
                 if next(violations, None) is None:
                     assign = {v: SINGLETON if assign_bits >> i & 1 else OPPOSITE
                               for i, v in enumerate(free)}

@@ -206,10 +206,7 @@ def canonical_form(g: Graph) -> int:
 
 def _orbit_representatives(n: int, automorphisms: list[list[int]]) -> list[int]:
     """The least mask of each orbit of the group the automorphisms generate
-    on the nonempty subsets of range(n), as bitmasks. Without automorphisms
-    each mask is its own orbit, and no table is built."""
-    if not automorphisms:
-        return list(range(1, 1 << n))
+    on the nonempty subsets of range(n), as bitmasks."""
     images = []
     for p in automorphisms:
         image = [0] * (1 << n)

@@ -370,16 +370,6 @@ def test_orbit_pruned_extension_equals_canonicalizing_every_neighbourhood(parent
         assert got == _extension_reference([g]), (g.n, g.adj)
 
 
-def test_orbit_representatives_without_automorphisms_are_every_mask():
-    # the shortcut for a parent whose search met no automorphism gives what
-    # the tables give for the identity alone
-    for n in range(1, 8):
-        everything = list(range(1, 1 << n))
-        assert _orbit_representatives(n, []) == everything
-        assert _orbit_representatives(n, [list(range(n))]) == everything
-    assert sum(not _labelled_search(g)[1] for g in enumerate_connected(7)) == 144
-
-
 def _relabelled_and_shuffled(graphs, rng):
     out = []
     for g in graphs:
