@@ -5,11 +5,13 @@ verdict, chi_dom, gamma_t: each search runs when the consumer reaches its
 stage, and each witness only when the consumer asks for it, so the scan's
 values-only path and the full report share every rule.
 
-Solver strategy: domination numbers by branch-and-bound on the set of
-undominated vertices. Their witnesses come from one depth-first pass over
-the vertices in index order, each taken before it is left out, so the first
-cover of the minimum size it meets is the lex-least; the union and the
-largest of the covers not yet passed prune a branch. The chromatic numbers share one iterative coloring
+Solver strategy: both domination numbers use one bounded cover search. It
+finds some set of at most a given number of vertices that covers the
+vertices still undominated, branching on the one with the fewest
+neighbours; the size is the first cover found, lowered while a smaller one
+exists. The lex-least witness walks the vertices in index order and takes
+each one that the same search can complete to a smallest cover with
+vertices above it. The chromatic numbers share one iterative coloring
 search on an explicit stack, clique vertices first and then by degree. It
 runs on one state per k: each class's members and the vertices adjacent to
 all of them, and a trail that undoes a placement by restoring two integers.
@@ -241,109 +243,98 @@ def is_dominated_coloring(g: Graph, coloring: Coloring) -> bool:
 # Domination numbers
 
 
-def _greedy_cover_size(n: int, covers: tuple[int, ...]) -> int:
-    full = (1 << n) - 1
-    covered = 0
-    count = 0
-    while covered != full:
-        best_gain = -1
-        best_v = -1
-        for v in range(n):
-            gain = (covers[v] & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        if best_gain <= 0:
-            raise UndefinedInvariantError("no cover exists")
-        covered |= covers[best_v]
-        count += 1
-    return count
+def _degree_classes(adj: tuple[int, ...]) -> tuple[list[int], int]:
+    """The vertex masks grouped by degree, least first, and the largest
+    degree: one table for the closed and the open neighbourhoods alike."""
+    by_degree = [0] * len(adj)
+    for v, row in enumerate(adj):
+        by_degree[row.bit_count()] |= 1 << v
+    classes = [m for m in by_degree if m]
+    return classes, adj[classes[-1].bit_length() - 1].bit_count()
 
 
-def _min_cover_size(n: int, covers: tuple[int, ...]) -> int:
-    """Smallest set S with union(covers[v] for v in S) == all vertices.
+def _cover_within(
+    covers: tuple[int, ...], classes: list[int], top: int, uncovered: int, allowed: int, budget: int
+) -> int:
+    """The mask of the first set found of at most `budget` vertices of
+    `allowed` whose covers cover `uncovered`; -1 if there is none.
 
-    covers must be symmetric (u in covers[v] iff v in covers[u]), so that
-    covers[u] lists the branching candidates when u is the chosen
-    undominated vertex.
+    covers must be symmetric, so covers[u] lists the coverers of u;
+    `classes` groups the vertices by cover size, smallest first, and `top`
+    is the largest size. Depth-first on an explicit stack, with no
+    incumbent: a node branches on its uncovered vertex with the fewest
+    covers, the least on ties, and a child is never made when `top` per
+    vertex left cannot cover what it leaves. The coverer leaving the fewest
+    uncovered, the least on ties, is moved to the top of the stack.
     """
-    full = (1 << n) - 1
-    best = _greedy_cover_size(n, covers)
-
-    # depth-first on an explicit stack; children are pushed in reverse, so
-    # each is entered, against the best size so far, in candidate order
-    stack = [(0, 0)]
+    count = uncovered.bit_count()
+    if top * budget < count:
+        return -1
+    stack = [(uncovered, count, 0, budget)]
     while stack:
-        count, covered = stack.pop()
-        if covered == full:
-            if count < best:
-                best = count
-            continue
-        if count + 1 >= best:
-            continue
-        uncovered = full & ~covered
-        max_gain = 0
-        for v in range(n):
-            gain = (covers[v] & uncovered).bit_count()
-            if gain > max_gain:
-                max_gain = gain
-        need = (uncovered.bit_count() + max_gain - 1) // max_gain
-        if count + need >= best:
-            continue
-        # branch on the undominated vertex with fewest coverers
-        branch_u = -1
-        branch_size = n + 1
-        for u in iter_bits(uncovered):
-            size = covers[u].bit_count()
-            if size < branch_size:
-                branch_size = size
-                branch_u = u
-        candidates = sorted(
-            iter_bits(covers[branch_u]),
-            key=lambda w: (-(covers[w] & uncovered).bit_count(), w),
-        )
-        stack.extend((count + 1, covered | covers[w]) for w in reversed(candidates))
-    return best
-
-
-def _lex_min_cover(n: int, covers: tuple[int, ...], size: int) -> tuple[int, ...]:
-    """Lexicographically least covering set of the given size, which must be
-    the minimum: a vertex that covers nothing new is never taken, and a
-    minimum cover holds no such vertex.
-
-    Depth-first over the vertices in index order, each taken before it is
-    left out, so covers are met in lexicographic order of their sorted
-    tuples and the first one found is the witness.
-    """
-    full = (1 << n) - 1
-    # later[v]: the union of covers[v:]; top[v]: the largest of them
-    later = [0] * (n + 1)
-    top = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        later[v] = later[v + 1] | covers[v]
-        top[v] = max(top[v + 1], covers[v].bit_count())
-    stack = [(0, 0, 0, size)]  # (next vertex, covered, chosen mask, vertices left)
-    while stack:
-        v, covered, chosen, left = stack.pop()
-        uncovered = full & ~covered
-        if not uncovered:
-            return tuple(iter_bits(chosen))
-        if uncovered & ~later[v] or top[v] * left < uncovered.bit_count():
-            continue
-        stack.append((v + 1, covered, chosen, left))
-        if covers[v] & uncovered:
-            stack.append((v + 1, covered | covers[v], chosen | 1 << v, left - 1))
-    raise AssertionError("no witness at the optimal size; solver bug")
+        uncovered, count, chosen, left = stack.pop()
+        if not count:
+            return chosen
+        for cls in classes:
+            u = uncovered & cls
+            if u:
+                break
+        left -= 1
+        best = -1
+        coverers = covers[(u & -u).bit_length() - 1] & allowed
+        while coverers:
+            w = coverers & -coverers
+            coverers ^= w
+            rest = uncovered & ~covers[w.bit_length() - 1]
+            rest_count = rest.bit_count()
+            if rest_count <= top * left:
+                if rest_count < count:
+                    count = rest_count
+                    best = len(stack)
+                stack.append((rest, rest_count, chosen | w, left))
+        if best >= 0:
+            stack.append(stack.pop(best))
+    return -1
 
 
 def _cover(
-    n: int, covers: tuple[int, ...], kind: str
+    covers: tuple[int, ...], classes: list[int], top: int, kind: str
 ) -> tuple[int, Iterator[DominatingWitness]]:
-    """Size of a smallest covering set, and a lazy iterator over the lex-least one."""
-    size = _min_cover_size(n, covers)
+    """Size of a smallest covering set, and a lazy iterator over the lex-least one.
+
+    The size: from the cover of all n vertices, each smaller cover found in
+    turn, down to the counting bound n / top. The witness walks v in index
+    order and takes v when a smallest cover holds the vertices taken, v and
+    only vertices above v: at once when the cover in hand does, else when
+    the search finds the rest, and that cover is the new one in hand.
+    """
+    n = len(covers)
+    full = (1 << n) - 1
+    found = full
+    while (size := found.bit_count()) > -(-n // top):
+        smaller = _cover_within(covers, classes, top, full, full, size - 1)
+        if smaller < 0:
+            break
+        found = smaller
 
     def witnesses() -> Iterator[DominatingWitness]:
-        yield DominatingWitness(frozenset(_lex_min_cover(n, covers, size)), kind)
+        hand = found
+        chosen = 0
+        uncovered = full
+        for v in range(n):
+            if not uncovered:
+                break
+            bit = 1 << v
+            if not hand & bit:
+                left = size - chosen.bit_count()
+                above = full ^ ((bit << 1) - 1)
+                rest = _cover_within(covers, classes, top, uncovered & ~covers[v], above, left - 1)
+                if rest < 0:
+                    continue
+                hand = chosen | bit | rest
+            chosen |= bit
+            uncovered &= ~covers[v]
+        yield DominatingWitness(frozenset(iter_bits(chosen)), kind)
 
     return size, witnesses()
 
@@ -351,7 +342,10 @@ def _cover(
 def domination_number(g: Graph) -> tuple[int, DominatingWitness]:
     if g.n == 0:
         raise GraphError("domination number is undefined for the empty graph")
-    gamma, witnesses = _cover(g.n, tuple(row | 1 << v for v, row in enumerate(g.adj)), "plain")
+    classes, top = _degree_classes(g.adj)
+    gamma, witnesses = _cover(
+        tuple(row | 1 << v for v, row in enumerate(g.adj)), classes, top + 1, "plain"
+    )
     return gamma, next(witnesses)
 
 
@@ -363,7 +357,7 @@ def total_domination_number(g: Graph) -> tuple[int, DominatingWitness]:
             raise UndefinedInvariantError(
                 f"total domination is undefined: vertex {v} is isolated"
             )
-    gamma_t, witnesses = _cover(g.n, g.adj, "total")
+    gamma_t, witnesses = _cover(g.adj, *_degree_classes(g.adj), "total")
     return gamma_t, next(witnesses)
 
 
@@ -675,7 +669,10 @@ def _stages(g: Graph) -> Iterator[tuple[str, int | None, Iterator[object] | None
     """
     if g.n == 0:
         raise GraphError("the invariants are undefined for the empty graph")
-    gamma, witnesses = _cover(g.n, tuple(row | 1 << v for v, row in enumerate(g.adj)), "plain")
+    classes, top = _degree_classes(g.adj)
+    gamma, witnesses = _cover(
+        tuple(row | 1 << v for v, row in enumerate(g.adj)), classes, top + 1, "plain"
+    )
     yield "gamma", gamma, witnesses
     order, chi, colorings = _proper_stage(g)
     yield "chi", chi, colorings
@@ -687,7 +684,7 @@ def _stages(g: Graph) -> Iterator[tuple[str, int | None, Iterator[object] | None
         yield "gamma_t", None, None
         return
     yield "chi_dom", *_optimal_colorings(g, _MODE_DOMINATED, order, chi)
-    yield "gamma_t", *_cover(g.n, g.adj, "total")
+    yield "gamma_t", *_cover(g.adj, classes, top, "total")
 
 
 def invariant_values(g: Graph, early_exit_k: int | None = None) -> dict[str, int | None]:

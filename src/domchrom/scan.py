@@ -395,17 +395,17 @@ def scan_stream(
                 if strict:
                     raise ScanError(payload)
                 summary.skipped.append([last_index, lineno])
-                continue
-            record = ScanRecord(*payload)
-            summary.absorb(record)
-            if records_sink is not None:
-                records_sink.append(record)
-            if out_file is not None:
-                text = record.to_json_line() + "\n"
-                out_file.write(text)
-                data = text.encode("utf-8")
-                records_hash.update(data)
-                records_bytes += len(data)
+            else:
+                record = ScanRecord(*payload)
+                summary.absorb(record)
+                if records_sink is not None:
+                    records_sink.append(record)
+                if out_file is not None:
+                    text = record.to_json_line() + "\n"
+                    out_file.write(text)
+                    data = text.encode("utf-8")
+                    records_hash.update(data)
+                    records_bytes += len(data)
             if checkpoint_path is not None and (last_index + 1) % _CHECKPOINT_EVERY == 0:
                 save_checkpoint()
         if checkpoint_path is not None:

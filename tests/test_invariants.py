@@ -448,6 +448,32 @@ def test_total_domination_number_of_1100_disjoint_k2_needs_no_recursion():
     assert total_domination_number(g) == (n, DominatingWitness(frozenset(range(n)), "total"))
 
 
+def _sparse_random_graph(n, p, seed, connected):
+    """G(n, p) from random.Random(seed); when `connected`, redrawn with the
+    same generator until it is connected."""
+    rng = random.Random(seed)
+    while True:
+        g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        if not connected or is_connected(g):
+            return g
+
+
+def test_domination_witnesses_of_sparse_random_graphs_are_pinned():
+    g = _sparse_random_graph(45, 0.1, 17, connected=True)
+    gamma, witness = domination_number(g)
+    assert (gamma, witness.sorted_vertices()) == (12, (0, 3, 4, 9, 10, 13, 14, 17, 18, 24, 34, 41))
+    gamma_t, witness = total_domination_number(g)
+    assert (gamma_t, witness.sorted_vertices()) == (
+        12, (3, 8, 9, 11, 13, 18, 19, 34, 35, 37, 39, 41)
+    )
+    g = _sparse_random_graph(50, 0.08, 2, connected=False)
+    assert g.adj[49] == 0
+    gamma, witness = domination_number(g)
+    assert (gamma, witness.sorted_vertices()) == (
+        15, (0, 1, 4, 5, 8, 10, 14, 16, 26, 28, 37, 38, 39, 46, 49)
+    )
+
+
 def test_check_theorem1_runs_the_proper_stage_once(monkeypatch):
     from domchrom import invariants
     from domchrom.structure import check_theorem1

@@ -1,5 +1,7 @@
 """Property tests of the invariant solvers against the naive oracles on
-random connected graphs."""
+random connected graphs, and of the cover searches on sparse ones."""
+
+import random
 
 import pytest
 
@@ -12,9 +14,12 @@ import oracles as naive
 from domchrom.graphs import from_edge_list
 from domchrom.invariants import (
     Coloring,
+    UndefinedInvariantError,
     chromatic_number,
     compute_report,
+    domination_number,
     enumerate_optimal_dominator_colorings,
+    total_domination_number,
 )
 
 
@@ -27,6 +32,21 @@ def connected_graphs(draw):
     density = draw(st.sampled_from((0.1, 0.3, 0.5, 0.8)))
     keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
     return from_edge_list(n, sorted(edges) + [p for p, x in zip(pairs, keep) if x < density])
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs of 1-14 vertices at density 0.05-0.3, connected or not,
+    isolated vertices allowed."""
+    # order, density and edges come from one seeded generator: Hypothesis
+    # leans its own draws towards the least order and towards keeping every
+    # edge, which would leave few sparse graphs among the examples
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rng.randint(1, 14)
+    density = rng.uniform(0.05, 0.3)
+    return from_edge_list(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    )
 
 
 def lex_first(g, accept):
@@ -65,3 +85,17 @@ def test_solvers_match_naive_oracles(g):
     assert [c.masks() for c in enumerate_optimal_dominator_colorings(g, r.chi_d)] == list(
         naive.dominator_colorings(g, r.chi_d)
     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sparse_graphs())
+def test_cover_searches_match_naive_oracles_on_sparse_graphs(g):
+    gamma, witness = domination_number(g)
+    assert (gamma, witness.sorted_vertices()) == naive.min_dominating_set(g)
+    total = naive.min_total_dominating_set(g)
+    if total is None:
+        with pytest.raises(UndefinedInvariantError):
+            total_domination_number(g)
+    else:
+        gamma_t, witness = total_domination_number(g)
+        assert (gamma_t, witness.sorted_vertices()) == total

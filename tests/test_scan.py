@@ -288,6 +288,25 @@ def test_a_resume_from_an_edited_checkpoint_refuses_or_matches(tmp_path, monkeyp
     assert "refused" in outcomes
 
 
+def test_a_checkpoint_is_saved_at_a_boundary_whose_line_is_skipped(tmp_path, monkeypatch):
+    import domchrom.scan as scan
+
+    lines = ORDER8.read_text().split()[:20]
+    lines[15] = "!!"  # line 16, the last of the second block of 8, does not parse
+    kwargs = dict(checks=("invariants",), source_id="order8-head")
+    whole_out, whole_csv = tmp_path / "whole.jsonl", tmp_path / "whole.csv"
+    scan_stream(lines, out_path=whole_out, summary_path=whole_csv, **kwargs)
+    monkeypatch.setattr(scan, "_CHECKPOINT_EVERY", 8)
+    out, csv, cp = tmp_path / "records.jsonl", tmp_path / "summary.csv", tmp_path / "cp.json"
+    paths = dict(out_path=out, summary_path=csv, checkpoint_path=cp)
+    with pytest.raises(_Killed):
+        scan_stream(_killed_after(lines, 20), **paths, **kwargs)
+    assert Checkpoint.load(cp).last_index == 15
+    scan_stream(lines, **paths, **kwargs)
+    assert out.read_bytes() == whole_out.read_bytes()
+    assert csv.read_bytes() == whole_csv.read_bytes()
+
+
 def test_resume_accepts_a_first_dk_graph_above_the_least_order(tmp_path):
     # an order-6 D(2) graph precedes the order-5 ones, so the checkpoint's
     # first graph6 for k = 2 has more vertices than its min_n of 5
