@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, GraphError, is_connected, iter_bits, mask_of
 
@@ -243,18 +243,21 @@ def is_dominated_coloring(g: Graph, coloring: Coloring) -> bool:
 # Domination numbers
 
 
-def _degree_classes(adj: tuple[int, ...]) -> tuple[list[int], int]:
-    """The vertex masks grouped by degree, least first, and the largest
-    degree: one table for the closed and the open neighbourhoods alike."""
+def _cover_tables(adj: tuple[int, ...]) -> tuple[list[int], list[int], int]:
+    """Closed neighbourhoods, the vertex masks grouped by degree (least first;
+    closed and open neighbourhoods group alike), and the largest degree."""
+    closed = []
     by_degree = [0] * len(adj)
     for v, row in enumerate(adj):
-        by_degree[row.bit_count()] |= 1 << v
+        bit = 1 << v
+        closed.append(row | bit)
+        by_degree[row.bit_count()] |= bit
     classes = [m for m in by_degree if m]
-    return classes, adj[classes[-1].bit_length() - 1].bit_count()
+    return closed, classes, adj[classes[-1].bit_length() - 1].bit_count()
 
 
 def _cover_within(
-    covers: tuple[int, ...], classes: list[int], top: int, uncovered: int, allowed: int, budget: int
+    covers: Sequence[int], classes: list[int], top: int, uncovered: int, allowed: int, budget: int
 ) -> int:
     """The mask of the first set found of at most `budget` vertices of
     `allowed` whose covers cover `uncovered`; -1 if there is none.
@@ -298,7 +301,7 @@ def _cover_within(
 
 
 def _cover(
-    covers: tuple[int, ...], classes: list[int], top: int, kind: str
+    covers: Sequence[int], classes: list[int], top: int, kind: str
 ) -> tuple[int, Iterator[DominatingWitness]]:
     """Size of a smallest covering set, and a lazy iterator over the lex-least one.
 
@@ -342,10 +345,8 @@ def _cover(
 def domination_number(g: Graph) -> tuple[int, DominatingWitness]:
     if g.n == 0:
         raise GraphError("domination number is undefined for the empty graph")
-    classes, top = _degree_classes(g.adj)
-    gamma, witnesses = _cover(
-        tuple(row | 1 << v for v, row in enumerate(g.adj)), classes, top + 1, "plain"
-    )
+    closed, classes, top = _cover_tables(g.adj)
+    gamma, witnesses = _cover(closed, classes, top + 1, "plain")
     return gamma, next(witnesses)
 
 
@@ -357,7 +358,8 @@ def total_domination_number(g: Graph) -> tuple[int, DominatingWitness]:
             raise UndefinedInvariantError(
                 f"total domination is undefined: vertex {v} is isolated"
             )
-    gamma_t, witnesses = _cover(g.adj, *_degree_classes(g.adj), "total")
+    _, classes, top = _cover_tables(g.adj)
+    gamma_t, witnesses = _cover(g.adj, classes, top, "total")
     return gamma_t, next(witnesses)
 
 
@@ -669,10 +671,8 @@ def _stages(g: Graph) -> Iterator[tuple[str, int | None, Iterator[object] | None
     """
     if g.n == 0:
         raise GraphError("the invariants are undefined for the empty graph")
-    classes, top = _degree_classes(g.adj)
-    gamma, witnesses = _cover(
-        tuple(row | 1 << v for v, row in enumerate(g.adj)), classes, top + 1, "plain"
-    )
+    closed, classes, top = _cover_tables(g.adj)
+    gamma, witnesses = _cover(closed, classes, top + 1, "plain")
     yield "gamma", gamma, witnesses
     order, chi, colorings = _proper_stage(g)
     yield "chi", chi, colorings
