@@ -13,16 +13,29 @@ orients it and keeps every per-edge value (endpoints, lowpoints, nesting
 depth, side, ref) in a flat list indexed by that number; a conflict pair is
 a list of four edge numbers, with -1 for none.
 
-Two exact screens spare most LR runs. Both look at the 2-core, what is left
-after repeatedly deleting vertices of degree <= 1; a graph is planar exactly
-when its 2-core is, because a Kuratowski subdivision has minimum degree 2.
-One predicate decides 2-core rows: planar without an LR run when fewer than
-6 have degree >= 3 and fewer than 5 degree >= 4, the branch vertices a
-K_{3,3} or K_5 subdivision needs, else by one LR run. `lr_is_planar` gives
-it the graph's 2-core. The deletion keeps only the kept graph's 2-core: an
-edge outside it is a bridge into a pendant tree and goes untested, and each
-trial is decided on the rows the peel leaves. The edges kept, and so the
-witness, are those of deleting one edge at a time in sorted order, but far
+Exact screens spare most LR runs. They read a smoothed copy of the 2-core:
+vertices of degree 1 are deleted, and each vertex of degree 2 is bypassed
+by an edge between its two neighbours, or deleted with its path when they
+are adjacent already, until every vertex left has degree >= 3 (the
+series-parallel reduction). A graph is planar exactly when its smoothed
+copy is: a bypass undoes a subdivision, a path beside an edge can be drawn
+along it, and a Kuratowski subdivision has minimum degree 2. One predicate
+decides 2-core rows on their smoothed copy: planar when fewer than 6
+vertices have degree >= 3 and fewer than 5 degree >= 4, the branch vertices
+a K_{3,3} or K_5 subdivision needs; non-planar past the edge bound
+m <= 3n - 6, n counting only the vertices with an edge, or when three
+vertices have three common neighbours, a K_{3,3} subgraph. That search
+counts, bit-parallel over each vertex a's neighbours' rows, the vertices
+sharing three neighbours with a, and pairs them up; it stops after a number
+of row operations proportional to the edge count. One LR run on the
+smoothed rows decides what the screens leave. `lr_is_planar` gives the
+predicate the graph's rows, and `is_planar` asks the same screens before
+the LR run that embeds a planar graph.
+
+The deletion keeps only the kept graph's 2-core H, unsmoothed: an edge
+outside it is a bridge into a pendant tree and goes untested, and each
+trial hands the predicate the rows the peel leaves. The edges kept, and so
+the witness, are those of deleting one edge at a time in sorted order, but far
 fewer trials reach them. A supergraph of a non-planar graph is non-planar,
 so deleting ever longer runs of the next edges stays non-planar up to the
 first edge that must be kept: runs are deleted whole in blocks that double,
@@ -345,8 +358,6 @@ class _LRPlanarity:
         return tuple(tuple(r) for r in rotation)
 
     def run(self) -> bool:
-        if self.n > 2 and sum(row.bit_count() for row in self.adj) > 6 * self.n - 12:
-            return False
         self._orient()
         return self._test()
 
@@ -370,28 +381,92 @@ def _two_core(g: Graph) -> list[int]:
     return rows
 
 
-def _too_few_branch_vertices(core: list[int]) -> bool:
-    """True when a 2-core cannot hold a K_5 or K_{3,3} subdivision: one needs
-    6 vertices of degree >= 3 or 5 of degree >= 4, and lies in the 2-core."""
-    deg3 = deg4 = 0
-    for row in core:
-        d = row.bit_count()
-        if d >= 3:
-            deg3 += 1
-            if d >= 4:
-                deg4 += 1
-    return deg3 < 6 and deg4 < 5
+def _smoothed(rows: Sequence[int]) -> list[int]:
+    """A copy of `rows` with no vertex of degree 1 or 2 left: one of degree 1
+    is deleted, and one of degree 2 is bypassed by an edge between its two
+    neighbours, or deleted with its two edges when they are adjacent already,
+    until no such vertex remains. Each step keeps planarity both ways."""
+    rows = list(rows)
+    queue = [v for v, row in enumerate(rows) if row and row.bit_count() <= 2]
+    while queue:
+        v = queue.pop()
+        row = rows[v]
+        if not row or row.bit_count() > 2:
+            continue
+        rows[v] = 0
+        a = row.bit_length() - 1
+        b = (row & -row).bit_length() - 1  # a again when v has degree 1
+        rows[a] &= ~(1 << v)
+        rows[b] &= ~(1 << v)
+        if a != b and not rows[a] >> b & 1:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        else:
+            queue += (a, b)
+    return rows
+
+
+# Row operations the K_{3,3} search may spend per edge of the smoothed rows
+# before it leaves the decision to an LR run.
+_K33_WORK_PER_EDGE = 4
+
+
+def _holds_k33(rows: list[int], budget: int) -> bool | None:
+    """True when three vertices a < w < z have three common neighbours, a
+    K_{3,3} subgraph; False when none do; None when the search spent more
+    than `budget` row operations first. For each a, one pass over its
+    neighbours' rows counts, bit-parallel up to three, how many of them each
+    vertex is adjacent to; the vertices w > a that reach three share three
+    neighbours with a, and are paired up among themselves."""
+    work = 0
+    for a, row_a in enumerate(rows):
+        one = two = three = 0
+        for x in iter_bits(row_a):
+            row = rows[x]
+            three |= two & row
+            two |= one & row
+            one |= row
+        work += row_a.bit_count()
+        rich: list[int] = []
+        for w in iter_bits(three & ~0 << a + 1):
+            work += len(rich) + 1
+            if work > budget:
+                return None
+            common = row_a & rows[w]
+            if any((common & other).bit_count() >= 3 for other in rich):
+                return True
+            rich.append(common)
+    return False
+
+
+def _screen(rows: list[int]) -> bool | None:
+    """Planarity of smoothed rows where it is decided without an LR run, else
+    None. Planar when fewer than 6 vertices have degree >= 3 and fewer than 5
+    degree >= 4, the branch vertices a K_5 or K_{3,3} subdivision needs;
+    every vertex with an edge is one. Non-planar past the edge bound
+    m <= 3n - 6, n counting the vertices with an edge, or with a K_{3,3}."""
+    degrees = [row.bit_count() for row in rows if row]
+    if len(degrees) < 6 and sum(d >= 4 for d in degrees) < 5:
+        return True
+    edges2 = sum(degrees)
+    if edges2 > 6 * len(degrees) - 12:
+        return False
+    if _holds_k33(rows, _K33_WORK_PER_EDGE * edges2 // 2):
+        return False
+    return None
 
 
 def _core_is_planar(core: list[int]) -> bool:
-    """Planarity of a 2-core given as rows: the branch-vertex screen, then
-    one LR run when the screen does not decide."""
-    return _too_few_branch_vertices(core) or _LRPlanarity(core).run()
+    """Planarity of a 2-core given as rows: the screen on its smoothed rows,
+    then one LR run on them when the screen does not decide."""
+    rows = _smoothed(core)
+    verdict = _screen(rows)
+    return _LRPlanarity(rows).run() if verdict is None else verdict
 
 
 def lr_is_planar(g: Graph) -> bool:
-    """Bare LR planarity decision on the 2-core of g, no certificate."""
-    return _core_is_planar(_two_core(g))
+    """Bare planarity decision, no certificate."""
+    return _core_is_planar(g.adj)
 
 
 def planar_embedding(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -570,12 +645,13 @@ def _classify_subdivision(core: list[int]) -> KuratowskiWitness:
 
 def is_planar(g: Graph) -> PlanarityVerdict:
     """Planarity verdict with a self-checking certificate either way."""
-    lr = _LRPlanarity(g.adj)
-    if lr.run():
-        rotation = lr.embed()
-        if not verify_embedding(g, rotation):
-            raise AssertionError("embedding failed Euler verification; solver bug")
-        return PlanarityVerdict(True, rotation, None)
+    if _screen(_smoothed(g.adj)) is not False:
+        lr = _LRPlanarity(g.adj)
+        if lr.run():
+            rotation = lr.embed()
+            if not verify_embedding(g, rotation):
+                raise AssertionError("embedding failed Euler verification; solver bug")
+            return PlanarityVerdict(True, rotation, None)
     witness = _witness_by_deletion(g)
     if not verify_kuratowski(g, witness):
         raise AssertionError("Kuratowski witness failed verification; solver bug")

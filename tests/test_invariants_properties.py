@@ -30,8 +30,10 @@ def connected_graphs(draw):
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
     density = draw(st.sampled_from((0.1, 0.3, 0.5, 0.8)))
-    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
-    return from_edge_list(n, sorted(edges) + [p for p, x in zip(pairs, keep) if x < density])
+    # the other edges come from one seeded generator: Hypothesis leans its
+    # own floats towards 0, which would keep nearly every pair at any density
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return from_edge_list(n, sorted(edges) + [p for p in pairs if rng.random() < density])
 
 
 @st.composite

@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -14,13 +16,14 @@ import oracles as naive
 from domchrom.constructions import DOddSpec, build_d_odd, build_d3, enumerate_d3_blueprints
 from domchrom.enumeration import enumerate_connected
 from domchrom import planarity
-from domchrom.graph6 import to_graph6
+from domchrom.graph6 import parse_graph6, to_graph6
 from domchrom.graphs import Graph, GraphError, complete_bipartite, from_edge_list
 from domchrom.planarity import (
     KuratowskiWitness,
     _core_is_planar,
-    _too_few_branch_vertices,
-    _two_core,
+    _holds_k33,
+    _screen,
+    _smoothed,
     is_planar,
     kuratowski_witness,
     lr_is_planar,
@@ -275,14 +278,15 @@ def networkx_planar(g) -> bool:
     return nx.check_planarity(G)[0]
 
 
-def screened_planar(g) -> bool:
-    return _too_few_branch_vertices(_two_core(g))
+def screen(g) -> bool | None:
+    """The screens' verdict on g, None when they leave it to an LR run."""
+    return _screen(_smoothed(g.adj))
 
 
 def assert_witnesses_match_oracle(graphs, monkeypatch):
     """kuratowski_witness equals the one-LR-run-per-edge oracle, and every
-    2-core that the branch-vertex screen calls planar is planar: the input
-    graphs' cores and every deletion trial's."""
+    verdict the screens give is networkx's: on the input graphs' 2-cores and
+    on every deletion trial's."""
     cores = []
 
     def recording(core):
@@ -294,8 +298,9 @@ def assert_witnesses_match_oracle(graphs, monkeypatch):
         assert kuratowski_witness(g) == naive.kuratowski_by_deletion(g)
     assert len(cores) > len(graphs)
     for core in cores:
-        if _too_few_branch_vertices(core):
-            assert networkx_planar(Graph(len(core), core))
+        verdict = _screen(_smoothed(core))
+        if verdict is not None:
+            assert verdict == networkx_planar(Graph(len(core), core))
 
 
 def test_witness_matches_deletion_oracle_through_n7(monkeypatch):
@@ -346,18 +351,40 @@ def test_deletion_trials_on_the_certify_d3_graphs_are_pinned(monkeypatch):
     counts = count_deletion_work(monkeypatch)
     for g in graphs:
         planarity._witness_by_deletion(g)
-    # one trial per core edge took 16,118 trials and 8,608 LR runs here
-    assert counts == {"trials": 14761, "lr_runs": 5486}
+    # one trial per core edge took 16,118 trials and 8,608 LR runs here, and
+    # these trials 5,486 LR runs before the screens read the smoothed rows
+    assert counts == {"trials": 14761, "lr_runs": 1059}
+
+
+ORDER8 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "order8.g6"
+
+
+def test_is_planar_work_on_the_nonplanar_order8_graphs_is_pinned(monkeypatch):
+    graphs = [parse_graph6(line) for line in ORDER8.read_text().split()]
+    graphs = [g for g in graphs if not lr_is_planar(g)]
+    assert len(graphs) == 5143
+    counts = count_deletion_work(monkeypatch)
+    for g in graphs:
+        is_planar(g)
+    # 32,314 LR runs before the screens read the smoothed rows
+    assert counts == {"trials": 82103, "lr_runs": 9438}
 
 
 def test_two_core_screen_is_sound_through_n7():
-    screened = 0
+    # each verdict the screens give on the smoothed 2-core is networkx's, and
+    # so is each K_{3,3} that the search finds with no budget
+    verdicts = collections.Counter()
     for n in range(1, 8):
         for g in enumerate_connected(n):
-            if screened_planar(g):
-                screened += 1
-                assert networkx_planar(g)
-    assert screened > 0
+            planar = networkx_planar(g)
+            rows = _smoothed(g.adj)
+            if _holds_k33(rows, math.inf):
+                assert not planar
+            verdict = _screen(rows)
+            if verdict is not None:
+                assert verdict == planar
+            verdicts[verdict] += 1
+    assert verdicts.keys() == {True, False, None}
 
 
 def ladder(rungs: int):
@@ -367,12 +394,63 @@ def ladder(rungs: int):
 
 
 def test_deep_ladder_gets_a_verdict():
-    # planar, all degrees 3 but the corners, so the screen does not decide it
+    # smoothing from the corners removes it all, but the embedding that
+    # is_planar returns comes from an LR run whose DFS is 2,000 deep
     g = ladder(1000)
-    assert not screened_planar(g)
+    assert screen(g)
     assert lr_is_planar(g)
     verdict = is_planar(g)
     assert verdict.planar and verify_embedding(g, verdict.embedding)
+
+
+def triangulated_grid(k: int):
+    """The k x k grid with one diagonal in every square."""
+    edges = [(k * i + j, k * i + j + 1) for i in range(k) for j in range(k - 1)]
+    edges += [(k * i + j, k * i + k + j) for i in range(k - 1) for j in range(k)]
+    edges += [(k * i + j, k * i + k + j + 1) for i in range(k - 1) for j in range(k - 1)]
+    return from_edge_list(k * k, edges)
+
+
+def fan_with_a_strip(k: int):
+    """Planar: apex 0 on the path 1..2k+1, and k more vertices each joined to
+    three path vertices 2i+1..2i+3. Each shares those three with the apex,
+    and no two of them share more than one, so pairing them takes ~k^2/2
+    row operations."""
+    path = range(1, 2 * k + 2)
+    edges = [(0, v) for v in path] + [(v, v + 1) for v in path[:-1]]
+    edges += [(2 * k + 2 + i, 2 * i + 1 + d) for i in range(k) for d in range(3)]
+    return from_edge_list(3 * k + 2, edges)
+
+
+@pytest.mark.parametrize(
+    ("build", "searches", "lr_runs"),
+    [
+        # the search ends with no K_{3,3} in 2m row operations, and LR decides
+        (lambda: triangulated_grid(30), [False, False], 2),
+        # smoothed away: only the LR run that embeds it for is_planar
+        (lambda: complete_bipartite(2, 2000)[0], [], 1),
+        (lambda: ladder(1000), [], 1),
+        # the search spends its budget pairing the apex's rich vertices
+        (lambda: fan_with_a_strip(1000), [None, None], 2),
+    ],
+    ids=["grid30", "K2_2000", "ladder1000", "fan1000"],
+)
+def test_large_planar_inputs_get_a_verdict(build, searches, lr_runs, monkeypatch):
+    g = build()
+    outcomes = []
+
+    def recording(rows, budget):
+        outcomes.append(holds_k33(rows, budget))
+        return outcomes[-1]
+
+    holds_k33 = planarity._holds_k33
+    monkeypatch.setattr(planarity, "_holds_k33", recording)
+    counts = count_deletion_work(monkeypatch)
+    assert lr_is_planar(g)
+    verdict = is_planar(g)
+    assert verdict.planar and verify_embedding(g, verdict.embedding)
+    assert outcomes == searches
+    assert counts["lr_runs"] == lr_runs
 
 
 def subdivided(g, times: int):
