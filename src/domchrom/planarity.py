@@ -29,8 +29,8 @@ counts, bit-parallel over each vertex a's neighbours' rows, the vertices
 sharing three neighbours with a, and pairs them up; it stops after a number
 of row operations proportional to the edge count. One LR run on the
 smoothed rows decides what the screens leave. `lr_is_planar` gives the
-predicate the graph's rows, and `is_planar` asks the same screens before
-the LR run that embeds a planar graph.
+predicate the graph's rows, and `is_planar` and `planar_embedding` ask the
+same screens before the LR run that embeds a planar graph.
 
 The deletion keeps only the kept graph's 2-core H, unsmoothed: an edge
 outside it is a bridge into a pendant tree and goes untested, and each
@@ -407,7 +407,9 @@ def _smoothed(rows: Sequence[int]) -> list[int]:
 
 
 # Row operations the K_{3,3} search may spend per edge of the smoothed rows
-# before it leaves the decision to an LR run.
+# before it leaves the decision to an LR run. The passes over neighbour rows
+# take 2 per edge in all; the rest pays for pairing. No order-8 graph or
+# deletion trial on the D(3) pool needs more than 3.7 per edge.
 _K33_WORK_PER_EDGE = 4
 
 
@@ -457,8 +459,9 @@ def _screen(rows: list[int]) -> bool | None:
 
 
 def _core_is_planar(core: list[int]) -> bool:
-    """Planarity of a 2-core given as rows: the screen on its smoothed rows,
-    then one LR run on them when the screen does not decide."""
+    """Planarity of a graph given as rows, such as a deletion trial's 2-core:
+    the screens on its smoothed rows, then one LR run on them when the
+    screens do not decide."""
     rows = _smoothed(core)
     verdict = _screen(rows)
     return _LRPlanarity(rows).run() if verdict is None else verdict
@@ -469,12 +472,21 @@ def lr_is_planar(g: Graph) -> bool:
     return _core_is_planar(g.adj)
 
 
+def _embedding(g: Graph) -> tuple[tuple[int, ...], ...] | None:
+    """Rotation system of g by one LR run on its rows, or None when g is not
+    planar; the screens spare that run when they find g non-planar."""
+    if _screen(_smoothed(g.adj)) is False:
+        return None
+    lr = _LRPlanarity(g.adj)
+    return lr.embed() if lr.run() else None
+
+
 def planar_embedding(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Rotation system of a planar graph (raises if non-planar)."""
-    lr = _LRPlanarity(g.adj)
-    if not lr.run():
+    rotation = _embedding(g)
+    if rotation is None:
         raise GraphError("graph is not planar; no embedding exists")
-    return lr.embed()
+    return rotation
 
 
 # ---------------------------------------------------------------------------
@@ -645,13 +657,11 @@ def _classify_subdivision(core: list[int]) -> KuratowskiWitness:
 
 def is_planar(g: Graph) -> PlanarityVerdict:
     """Planarity verdict with a self-checking certificate either way."""
-    if _screen(_smoothed(g.adj)) is not False:
-        lr = _LRPlanarity(g.adj)
-        if lr.run():
-            rotation = lr.embed()
-            if not verify_embedding(g, rotation):
-                raise AssertionError("embedding failed Euler verification; solver bug")
-            return PlanarityVerdict(True, rotation, None)
+    rotation = _embedding(g)
+    if rotation is not None:
+        if not verify_embedding(g, rotation):
+            raise AssertionError("embedding failed Euler verification; solver bug")
+        return PlanarityVerdict(True, rotation, None)
     witness = _witness_by_deletion(g)
     if not verify_kuratowski(g, witness):
         raise AssertionError("Kuratowski witness failed verification; solver bug")
