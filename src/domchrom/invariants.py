@@ -25,12 +25,13 @@ vertices. Witnesses are the lexicographically least optimal ones (dominating
 sets compared as sorted vertex tuples, colorings by their vertex-to-class
 assignment sequence, classes numbered by first use).
 
-The last report computed is kept, with its graph, in a one-slot memo. A
-report of an equal graph, such as the one `check_theorem1` needs after
-`compute_report`, reuses it, and the enumeration of all optimal dominator
-colorings, for Theorem 1 or on its own, restarts from the remembered chi_d
-witness instead of running the stages again. A report of any other graph
-replaces it; a graph whose report raises is never kept.
+`compute_report` keeps the last report it computed, with its graph, in a
+one-slot memo, and a report of an equal graph reuses it. A report of any
+other graph replaces it; a graph whose report raises is never kept. The
+enumeration of all optimal dominator colorings is the one source of them,
+for Theorem 1 or on its own: for a graph equal to the remembered one it
+restarts from the report's chi_d witness instead of running chi and chi_d
+again. `check_theorem1` computes the report first, so it always restarts.
 
 Convention: a vertex dominates its own color class only when that class is
 exactly the singleton {v}. Cross-class domination always means "adjacent to
@@ -40,7 +41,6 @@ every vertex of the class".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, GraphError, is_connected, iter_bits, mask_of
@@ -618,10 +618,16 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
 
 
 def _dominator_colorings(g: Graph) -> tuple[int, Iterator[Coloring]]:
+    """chi_d, and a lazy iterator over all chi_d-colorings in lexicographic
+    order. When the last report computed is of a graph equal to G (so G is
+    connected), the walk restarts from that report's chi_d witness."""
+    last = _last_report  # read once: another thread may replace it
+    if last is not None and last[0] == g:
+        report = last[1]
+        _, order = _search_order(g)
+        state = _ColoringState(g, report.chi_d, _MODE_DOMINATOR)
+        return report.chi_d, _lex_colorings(state, order, report.chi_d_witness.assignment(g.n))
     _require_connected(g, "dominator chromatic number")
-    remembered = _remembered(g)
-    if remembered is not None:
-        return remembered[0].chi_d, remembered[1]
     order, chi, _ = _proper_stage(g)  # chi(G) is a lower bound
     return _optimal_colorings(g, _MODE_DOMINATOR, order, chi)
 
@@ -701,49 +707,27 @@ def invariant_values(g: Graph, early_exit_k: int | None = None) -> dict[str, int
     return values
 
 
-# The last report `_report` computed, with its graph. One slot: it cannot
-# grow, and a report of any other graph is computed afresh.
+# The last report `compute_report` computed, with its graph. One slot: it
+# cannot grow, and a report of any other graph is computed afresh.
 _last_report: tuple[Graph, InvariantReport] | None = None
 
 
-def _remembered(g: Graph) -> tuple[InvariantReport, Iterator[Coloring]] | None:
-    """The remembered report of G, and a new iterator over every optimal
-    dominator coloring in lexicographic order, the report's witness first;
-    None unless the last report `_report` computed is of a graph equal to G."""
-    last = _last_report  # read once: another thread may replace it
-    if last is None or last[0] != g:
-        return None
-    report = last[1]
-    _, order = _search_order(g)
-    state = _ColoringState(g, report.chi_d, _MODE_DOMINATOR)
-    return report, _lex_colorings(state, order, report.chi_d_witness.assignment(g.n))
-
-
-def _report(g: Graph) -> tuple[InvariantReport, Iterator[Coloring]]:
-    """The full report, and every optimal dominator coloring in lexicographic
-    order: the chi_d stage's iterator, its first item (the witness) in front.
-    A graph equal to the last one reported reuses that report."""
+def compute_report(g: Graph) -> InvariantReport:
+    """Full report with witnesses; requires a connected graph. A graph equal
+    to the last one reported reuses that report."""
     global _last_report
-    remembered = _remembered(g)
-    if remembered is not None:
-        return remembered
+    last = _last_report  # read once: another thread may replace it
+    if last is not None and last[0] == g:
+        return last[1]
     _require_connected(g, "an invariant report")
     fields: dict[str, object] = {}
     for name, value, witnesses in _stages(g):
         fields[name] = value
-        if name == "dk":
-            continue
-        fields[f"{name}_witness"] = next(witnesses) if witnesses else None
-        if name == "chi_d":
-            dominator_colorings = chain((fields["chi_d_witness"],), witnesses)
+        if name != "dk":
+            fields[f"{name}_witness"] = next(witnesses) if witnesses else None
     assert fields["gamma_t"] is None or fields["gamma"] <= fields["gamma_t"]
     assert fields["chi"] <= fields["chi_d"]
     assert fields["chi_dom"] is None or fields["chi"] <= fields["chi_dom"]
     report = InvariantReport(n=g.n, edge_count=g.edge_count(), **fields)
     _last_report = (g, report)
-    return report, dominator_colorings
-
-
-def compute_report(g: Graph) -> InvariantReport:
-    """Full report with witnesses; requires a connected graph."""
-    return _report(g)[0]
+    return report

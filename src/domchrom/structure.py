@@ -26,7 +26,14 @@ from .constructions import (
     _rule_violations,
 )
 from .graphs import Graph, GraphError, _bfs_layers, bipartition, is_connected, iter_bits
-from .invariants import Coloring, InvariantReport, _dominators, _report, is_proper_coloring
+from .invariants import (
+    Coloring,
+    InvariantReport,
+    _dominators,
+    compute_report,
+    enumerate_optimal_dominator_colorings,
+    is_proper_coloring,
+)
 
 
 class DeadlineExceeded(RuntimeError):
@@ -96,13 +103,12 @@ def check_theorem1(g: Graph) -> Theorem1Report:
 
     Class domination and the per-vertex tally both follow the own-singleton
     convention; the raw (cross, own-singleton) counts are recorded per
-    coloring so the stricter reading can be audited. The colorings continue
-    the report's own chi_d search, so chi and chi_d are computed once. When
-    the last report computed in this process is of a graph equal to G (as
-    after `compute_report(g)`), that report is reused and the colorings
-    restart from its chi_d witness, so nothing is computed twice.
+    coloring so the stricter reading can be audited. The report comes from
+    `compute_report(g)`, which reuses the last report computed when it is of
+    a graph equal to G, and the colorings restart from the report's chi_d
+    witness instead of searching for chi and chi_d again.
     """
-    report, colorings = _report(g)
+    report = compute_report(g)
     if report.dk is None:
         raise GraphError(
             "not a D(k) graph: "
@@ -110,6 +116,7 @@ def check_theorem1(g: Graph) -> Theorem1Report:
         )
     counterexamples: list[tuple[int, str, int]] = []
     all_counts: list[tuple[tuple[int, int], ...]] = []
+    colorings = enumerate_optimal_dominator_colorings(g, report.chi_d)
     for index, coloring in enumerate(colorings):
         counts, failures = _theorem1_tally(g, index, coloring)
         all_counts.append(counts)
@@ -267,6 +274,7 @@ def _read_blueprint(
     free1 = v1_mask & ~(1 << x1 | 1 << y2)
     free2 = v2_mask & ~(1 << y1 | 1 << y3)
     a, b = 2 + free1.bit_count(), 2 + free2.bit_count()
+    shape = D3Blueprint(a, b)
     # order[i] is the vertex of G at canonical blueprint index i
     order = [x1, y2, *iter_bits(free1), y1, y3, *iter_bits(free2), x3]
     # rule 4 read off: a free vertex that dominates the opposite class
@@ -274,10 +282,10 @@ def _read_blueprint(
     # joined to x3; the rebuild rejects a misreading
     rule4 = {
         i: OPPOSITE if dominators[i < a] >> order[i] & 1 else SINGLETON
-        for i in (*range(2, a), *range(a + 2, a + b))
+        for i in (*shape.v1_free(), *shape.v2_free())
     }
-    rule2 = frozenset(i for i in range(a + 2, a + b) if adj[x1] >> order[i] & 1)
-    rule3 = frozenset(i for i in range(2, a) if adj[y3] >> order[i] & 1)
+    rule2 = frozenset(i for i in shape.v2_free() if adj[x1] >> order[i] & 1)
+    rule3 = frozenset(i for i in shape.v1_free() if adj[y3] >> order[i] & 1)
     bp = D3Blueprint(a, b, rule2, rule3, rule4)
     if (_blueprint_graph(bp, order) != g
             or next(_rule_violations(adj, v1_mask, v2_mask, x3, free1, free2), None) is not None):

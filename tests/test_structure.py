@@ -24,7 +24,7 @@ from domchrom.graphs import (
     from_edge_list,
     is_connected,
 )
-from domchrom import invariants
+from domchrom import invariants, structure
 from domchrom.invariants import (
     Coloring,
     DisconnectedError,
@@ -365,8 +365,6 @@ def test_odd_cycle_meet_holds_every_vertex_whose_deletion_leaves_a_bipartite_gra
 def test_membership_bipartitions_only_the_odd_cycle_meet(monkeypatch):
     # over the order-8 stream, every vertex of every graph would take 88,929
     # bipartitions of G - x3; the meet of the odd cycles leaves these
-    import domchrom.structure as structure
-
     calls = [0]
 
     def counted(*args):
@@ -407,8 +405,6 @@ def test_membership_deadline():
 def test_membership_deadline_checked_within_one_candidate(monkeypatch):
     # every role match costs 10 s on a fake clock, against a 5 s budget: the
     # search must stop at the next split, not after the candidate's last one
-    import domchrom.structure as structure
-
     godd, _ = build_d_odd(DOddSpec(3, 13))
     clock = [0.0]
     matched = []
@@ -499,6 +495,26 @@ def test_enumeration_after_a_report_equals_a_cold_enumeration(monkeypatch):
         monkeypatch.setattr(invariants, "_proper_stage", proper_stage)
         monkeypatch.setattr(invariants, "_last_report", None)
         assert warm == list(enumerate_optimal_dominator_colorings(g, chi_d))
+
+
+def test_theorem1_counts_the_colorings_of_the_public_enumeration(monkeypatch):
+    # the benchmark tracer sees the enumeration only as the public generator
+    # that structure binds, both cold and after compute_report
+    yielded = [0]
+
+    def counted(g, k):
+        for coloring in enumerate_optimal_dominator_colorings(g, k):
+            yielded[0] += 1
+            yield coloring
+
+    monkeypatch.setattr(structure, "enumerate_optimal_dominator_colorings", counted)
+    g = _family_graphs()[0]
+    for warm in (False, True):
+        monkeypatch.setattr(invariants, "_last_report", None)
+        if warm:
+            compute_report(g)
+        yielded[0] = 0
+        assert check_theorem1(g).colorings_checked == yielded[0] > 0
 
 
 def test_a_disconnected_graph_raises_on_every_call():
