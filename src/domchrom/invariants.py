@@ -531,16 +531,18 @@ def _renumbered(assignment: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _lex_colorings(
-    state: _ColoringState, order: tuple[int, ...], first: tuple[int, ...]
+    state: _ColoringState, order: tuple[int, ...], first: tuple[int, ...], least: bool = False
 ) -> Iterator[Coloring]:
     """Every coloring with exactly k classes, in lexicographic order of
-    assignment sequences; `first` is any one of them, in any numbering, and
-    `state` is empty.
+    assignment sequences; `first` is any one of them, in any numbering, the
+    least when `least` is set, and `state` is empty.
 
     Depth-first over prefixes in identity order, on `state` and an explicit
     stack: the prefix 0..v-1 stays placed, and comps[v] is a completion of
     it. Vertex v takes comps[v][v] with no search; for the classes below or
-    above that one, the oracle finds the least class that completes.
+    above that one, the oracle finds the least class that completes. Along
+    the least coloring's own prefixes no lower class completes, so until
+    the first backtrack that oracle call is skipped.
     """
     n = len(state.cls)
     comps: list[tuple[int, ...]] = [_renumbered(first)] * (n + 1)
@@ -552,7 +554,7 @@ def _lex_colorings(
         else:
             comp: tuple[int, ...] | None = comps[v]
             lo = tries[v]
-            if lo != comp[v]:
+            if lo != comp[v] and not least:
                 hi = comp[v] if lo < comp[v] else min(state.used + 1, state.k)
                 found = state.complete((v, *(u for u in order if u > v)), lo, hi)
                 if found is not None:
@@ -569,6 +571,7 @@ def _lex_colorings(
         if v == 0:
             return
         v -= 1
+        least = False
         state.pop()
 
 
@@ -626,7 +629,8 @@ def _dominator_colorings(g: Graph) -> tuple[int, Iterator[Coloring]]:
         report = last[1]
         _, order = _search_order(g)
         state = _ColoringState(g, report.chi_d, _MODE_DOMINATOR)
-        return report.chi_d, _lex_colorings(state, order, report.chi_d_witness.assignment(g.n))
+        first = report.chi_d_witness.assignment(g.n)
+        return report.chi_d, _lex_colorings(state, order, first, least=True)
     _require_connected(g, "dominator chromatic number")
     order, chi, _ = _proper_stage(g)  # chi(G) is a lower bound
     return _optimal_colorings(g, _MODE_DOMINATOR, order, chi)

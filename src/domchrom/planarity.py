@@ -20,11 +20,12 @@ are adjacent already, until every vertex left has degree >= 3 (the
 series-parallel reduction). A graph is planar exactly when its smoothed
 copy is: a bypass undoes a subdivision, a path beside an edge can be drawn
 along it, and a Kuratowski subdivision has minimum degree 2. One predicate
-decides 2-core rows on their smoothed copy: planar when fewer than 6
-vertices have degree >= 3 and fewer than 5 degree >= 4, the branch vertices
-a K_{3,3} or K_5 subdivision needs; non-planar past the edge bound
-m <= 3n - 6, n counting only the vertices with an edge, or when three
-vertices have three common neighbours, a K_{3,3} subgraph. That search
+decides 2-core rows: planar when fewer than 6 vertices have degree >= 3 and
+fewer than 5 degree >= 4, the branch vertices a K_{3,3} or K_5 subdivision
+needs, read before smoothing (which never raises a degree) and after; on
+the smoothed copy, non-planar past the edge bound m <= 3n - 6, n counting
+only the vertices with an edge, or when three vertices have three common
+neighbours, a K_{3,3} subgraph. That search
 counts, bit-parallel over each vertex a's neighbours' rows, the vertices
 sharing three neighbours with a, and pairs them up; it stops after a number
 of row operations proportional to the edge count. One LR run on the
@@ -41,9 +42,10 @@ so deleting ever longer runs of the next edges stays non-planar up to the
 first edge that must be kept: runs are deleted whole in blocks that double,
 and the block that turns planar is bisected. Deleting any edge of a kept
 edge's path through degree-2 vertices peels the same core, so the whole
-path is kept with no further trial. The witness is read off the final
-core's rows: branch vertices are the rows with more than two bits set, and
-each path is walked bit by bit between them. The tests check it against
+path is kept with no further trial. Once the core is one subdivision plus
+disjoint cycles, the witness is read off its rows: branch vertices are the
+rows with more than two bits set, and each path is walked bit by bit
+between them. The tests check it against
 `tests/oracles.py`, which deletes edges one networkx planarity test at a
 time and classifies its own edge list.
 
@@ -441,14 +443,22 @@ def _holds_k33(rows: list[int], budget: int) -> bool | None:
     return False
 
 
+def _branch_degrees(rows: Sequence[int]) -> list[int]:
+    """The degrees above 2 in `rows`, those of possible branch vertices."""
+    return [d for row in rows if (d := row.bit_count()) > 2]
+
+
+def _too_few_branches(degrees: list[int]) -> bool:
+    """Fewer than 6 branch `degrees` and fewer than 5 >= 4: no K_5 or K_{3,3} fits."""
+    return len(degrees) < 6 and sum(d >= 4 for d in degrees) < 5
+
+
 def _screen(rows: list[int]) -> bool | None:
     """Planarity of smoothed rows where it is decided without an LR run, else
-    None. Planar when fewer than 6 vertices have degree >= 3 and fewer than 5
-    degree >= 4, the branch vertices a K_5 or K_{3,3} subdivision needs;
-    every vertex with an edge is one. Non-planar past the edge bound
-    m <= 3n - 6, n counting the vertices with an edge, or with a K_{3,3}."""
-    degrees = [row.bit_count() for row in rows if row]
-    if len(degrees) < 6 and sum(d >= 4 for d in degrees) < 5:
+    None. Planar with too few branch vertices, which every vertex with an
+    edge is; non-planar past m <= 3n - 6 (n of them) or with a K_{3,3}."""
+    degrees = _branch_degrees(rows)
+    if _too_few_branches(degrees):
         return True
     edges2 = sum(degrees)
     if edges2 > 6 * len(degrees) - 12:
@@ -460,8 +470,10 @@ def _screen(rows: list[int]) -> bool | None:
 
 def _core_is_planar(core: list[int]) -> bool:
     """Planarity of a graph given as rows, such as a deletion trial's 2-core:
-    the screens on its smoothed rows, then one LR run on them when the
-    screens do not decide."""
+    planar with too few branch vertices, which smoothing never adds; else the
+    screens on its smoothed rows, then one LR run when they do not decide."""
+    if _too_few_branches(_branch_degrees(core)):
+        return True
     rows = _smoothed(core)
     verdict = _screen(rows)
     return _LRPlanarity(rows).run() if verdict is None else verdict
@@ -576,24 +588,26 @@ def _witness_by_deletion(g: Graph) -> KuratowskiWitness:
     kept graph's 2-core H is stored: a graph is planar exactly when its
     2-core is, so an edge outside H is dropped untested.
 
-    Two exact rules give the same decisions. Deleting a longer prefix of the
-    undecided edges leaves a subgraph, so whether the prefix's core is planar
-    is monotone in its length: the greedy deletes every edge before the first
-    prefix that turns planar and keeps that prefix's last edge. Blocks of
-    undecided edges are deleted whole, doubling after each block that stays
-    non-planar, and the block that turns planar is bisected. A kept edge's
-    path through degree-2 vertices of H, or its cycle component, peels away
-    whole whichever of its edges is deleted, leaving the same planar core;
-    H only shrinks afterwards, so the whole path is kept with no trial."""
+    Three exact rules give the same decisions. Deleting a longer prefix of
+    the undecided edges leaves a subgraph, so whether the prefix's core is
+    planar is monotone in its length: the greedy deletes every edge before
+    the first prefix that turns planar and keeps that prefix's last edge.
+    Blocks of undecided edges are deleted whole, doubling after each block
+    that stays non-planar, and the block that turns planar is bisected. A
+    kept edge's path through degree-2 vertices of H, or its cycle component,
+    peels away whole whichever of its edges is deleted, leaving the same
+    planar core; H only shrinks afterwards, so the whole path is kept with no
+    trial. When H changes, its vertices of degree > 2 are checked: if they
+    are six of degree 3 or five of degree 4, all are branch vertices of the
+    subdivision H holds, so the rest of H is disjoint cycles, whose edges
+    alone the greedy would delete and `_classify_subdivision` never reads."""
     core = _two_core(g)
     kept = [0] * g.n
     edges = sorted(g.edges())
-    size = 1
-    while True:
+    size, changed = 1, True  # whether the core changed since it was checked
+    while not changed or _branch_degrees(core) not in ([3] * 6, [4] * 5):
         # the undecided edges: every edge passed is off the core or kept
         block = [e for e in edges if (core[e[0]] & ~kept[e[0]]) >> e[1] & 1][:size]
-        if not block:
-            return _classify_subdivision(core)
         # deleting block[:lo] leaves a non-planar core and block[:hi] a planar
         # one; hi starts past the block, as the whole block is tried first
         lo, hi, mid = 0, len(block) + 1, len(block)
@@ -608,6 +622,7 @@ def _witness_by_deletion(g: Graph) -> KuratowskiWitness:
             else:
                 core, lo = trial, mid
             mid = (lo + hi) // 2
+        changed = lo > 0
         if lo == len(block):
             size *= 2
             continue
@@ -622,24 +637,17 @@ def _witness_by_deletion(g: Graph) -> KuratowskiWitness:
                 if b == start or core[b].bit_count() != 2:
                     break
                 a, b = b, (core[b] & ~(1 << a)).bit_length() - 1
+    return _classify_subdivision(core)
 
 
 def _classify_subdivision(core: list[int]) -> KuratowskiWitness:
-    """Read a K_5 or K_{3,3} subdivision off the rows of an edge-minimal
-    non-planar 2-core. Its branch vertices are the rows with more than two
-    bits set, and every other vertex left has degree 2. Each branch-to-branch
-    path is walked bit by bit from both ends and kept from its smaller end."""
+    """Read the K_5 or K_{3,3} subdivision off the rows of a non-planar
+    2-core with six branch vertices of degree 3 or five of degree 4, the rows
+    with more than two bits set. Each branch-to-branch path is walked bit by
+    bit from both ends and kept from its smaller end; no walk reaches a
+    disjoint cycle."""
     branch = tuple(v for v, row in enumerate(core) if row.bit_count() > 2)
-    degrees = [core[v].bit_count() for v in branch]
-    if degrees == [4] * 5:
-        kind = "K5"
-    elif degrees == [3] * 6:
-        kind = "K33"
-    else:
-        raise AssertionError(
-            f"minimal non-planar subgraph is not a Kuratowski subdivision: "
-            f"branch degrees {degrees}"
-        )
+    kind = "K5" if len(branch) == 5 else "K33"
     paths = []
     for b in branch:
         for first in iter_bits(core[b]):

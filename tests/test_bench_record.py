@@ -30,7 +30,7 @@ def _fake_checkout(path: Path, correct: bool) -> Path:
 
 def test_incorrect_run_stops_the_recording_and_keeps_the_runs_before_it(tmp_path, capsys):
     good = _fake_checkout(tmp_path / "good", correct=True)
-    bad = _fake_checkout(tmp_path / "bad", correct=False)
+    bad = _fake_checkout(tmp_path / "bad_", correct=False)  # paths of equal length
     out = tmp_path / "out"
     out.mkdir()
     with pytest.raises(SystemExit) as exit_info:
@@ -60,21 +60,28 @@ def test_correct_runs_are_all_recorded(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("workload, out, message", [
-    ("scan8:1", "missing", "not an existing directory"),
-    ("survey8:3-1", ".", "no range empty"),
+@pytest.mark.parametrize("workload, out, change, message", [
+    ("scan8:1", "missing", "a", "not an existing directory"),
+    ("survey8:3-1", ".", "a", "no range empty"),
+    ("scan8:1", ".", "bb", "paths differ in length"),
+], ids=[
+    "scan8:1-missing-not an existing directory",
+    "survey8:3-1-.-no range empty",
+    "scan8:1-.-paths differ in length",
 ])
 def test_bad_arguments_are_refused_before_any_run(
-    tmp_path, monkeypatch, capsys, workload, out, message
+    tmp_path, monkeypatch, capsys, workload, out, change, message
 ):
     def no_run(*args):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(bench_record, "_run", no_run)
     a = _fake_checkout(tmp_path / "a", correct=True)
+    if change != "a":
+        _fake_checkout(tmp_path / change, correct=True)
     with pytest.raises(SystemExit) as exit_info:
         bench_record.main([
-            "--label", "t", "--side", f"parent={a}", "--side", f"change={a}",
+            "--label", "t", "--side", f"parent={a}", "--side", f"change={tmp_path / change}",
             "--workload", workload, "--out", str(tmp_path / out),
         ])
     assert exit_info.value.code == 2

@@ -492,3 +492,25 @@ def test_check_theorem1_runs_the_proper_stage_once(monkeypatch):
     assert result.colorings_checked == len(
         list(enumerate_optimal_dominator_colorings(g, result.report.chi_d))
     )
+
+
+def test_check_theorem1_oracle_calls_are_pinned(monkeypatch):
+    # the restart from the remembered lex-least chi_d witness asks the oracle
+    # nothing along that witness's own prefixes: 14 and 32 calls before
+    from domchrom import invariants
+    from domchrom.structure import check_theorem1
+
+    calls = []
+    complete = invariants._ColoringState.complete
+
+    def counted(state, *args):
+        calls.append(args)
+        return complete(state, *args)
+
+    monkeypatch.setattr(invariants._ColoringState, "complete", counted)
+    g, _ = build_d_odd(DOddSpec(3, 9))
+    cold = check_theorem1(g)
+    assert len(calls) == 27
+    calls.clear()
+    assert check_theorem1(g) == cold
+    assert len(calls) == 9

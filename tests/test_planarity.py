@@ -346,9 +346,10 @@ def test_deletion_trials_on_the_certify_d3_graphs_are_pinned(monkeypatch):
     counts = count_deletion_work(monkeypatch)
     for g in graphs:
         planarity._witness_by_deletion(g)
-    # one trial per core edge took 16,118 trials and 8,608 LR runs here, and
-    # these trials 5,486 LR runs before the screens read the smoothed rows
-    assert counts == {"trials": 14761, "lr_runs": 1059}
+    # one trial per core edge took 16,118 trials and 8,608 LR runs here, the
+    # block search 14,761 trials (5,486 LR runs before the screens read the
+    # smoothed rows) before it stopped at the subdivision
+    assert counts == {"trials": 10642, "lr_runs": 1059}
 
 
 ORDER8 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "order8.g6"
@@ -361,8 +362,9 @@ def test_is_planar_work_on_the_nonplanar_order8_graphs_is_pinned(monkeypatch):
     counts = count_deletion_work(monkeypatch)
     for g in graphs:
         is_planar(g)
-    # 32,314 LR runs before the screens read the smoothed rows
-    assert counts == {"trials": 82103, "lr_runs": 9438}
+    # 32,314 LR runs before the screens read the smoothed rows, and 82,103
+    # trials before the search stopped at the subdivision
+    assert counts == {"trials": 54386, "lr_runs": 9438}
 
 
 def test_two_core_screen_is_sound_through_n7():
@@ -465,14 +467,30 @@ def test_deeply_subdivided_k33_gets_a_witness():
     assert all(len(p) == 301 for p in verdict.witness.paths)
 
 
-@pytest.mark.parametrize("g", [complete_bipartite(3, 3)[0], K5], ids=["K33", "K5"])
-def test_deletion_keeps_each_subdivided_edge_with_one_trial(g, monkeypatch):
-    h = subdivided(g, 299)
+def beside_a_cycle_with_a_tree(g):
+    """g beside a disjoint 4-cycle, with a pendant tree of three edges hung
+    on g's vertex 0."""
+    n = g.n
+    edges = list(g.edges()) + [(n + i, n + (i + 1) % 4) for i in range(4)]
+    edges += [(0, n + 4), (n + 4, n + 5), (n + 4, n + 6)]
+    return from_edge_list(n + 7, edges)
+
+
+@pytest.mark.parametrize(
+    ("g", "times", "extras"),
+    [(complete_bipartite(3, 3)[0], 299, False), (K5, 299, False), (K5, 2, True)],
+    ids=["K33", "K5", "K5_cycle_tree"],
+)
+def test_deletion_stops_at_a_subdivision_with_no_trial(g, times, extras, monkeypatch):
+    sub = subdivided(g, times)
+    h = beside_a_cycle_with_a_tree(sub) if extras else sub
     counts = count_deletion_work(monkeypatch)
     witness = planarity._witness_by_deletion(h)
-    assert witness.edges == frozenset(h.edges())
-    # one trial per path, each decided by the branch-vertex screen
-    assert counts == {"trials": g.edge_count(), "lr_runs": 0}
+    assert witness.edges == frozenset(sub.edges())
+    # the 2-core is one subdivision, and the cycle, from the start
+    assert counts == {"trials": 0, "lr_runs": 0}
+    if extras:  # the oracle takes seconds on the 299-fold subdivisions
+        assert witness == naive.kuratowski_by_deletion(h)
 
 
 def test_scan_cli_decides_the_deep_ladder():

@@ -15,8 +15,9 @@ end-to-end metric, the number of pairs the last side won, and each side's
 median of every per-layer metric over its traced runs. A run that exits
 non-zero or reports `"correct": false` stops the recording with an error
 naming its side, workload and seed; the file keeps the runs before it.
-An `--out` directory that does not exist, or an empty seed range such as
-3-1, is refused with exit 2 before any run.
+An `--out` directory that does not exist, an empty seed range such as
+3-1, or two checkouts whose paths differ in length (the path's length moves
+`peak_rss_mb`) is refused with exit 2 before any run.
 """
 
 from __future__ import annotations
@@ -155,6 +156,8 @@ def main(argv=None) -> int:
     sides = list(checkouts)
     if len(sides) != 2:
         parser.error("give two --side checkouts with distinct names")
+    if len({len(str(path)) for path in checkouts.values()}) > 1:
+        parser.error("the --side checkouts' paths differ in length, which moves peak_rss_mb")
     plan = []
     for trace, specs in enumerate((args.workload, args.trace_workload)):
         for spec in specs:
