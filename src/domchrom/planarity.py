@@ -29,9 +29,14 @@ neighbours, a K_{3,3} subgraph. That search
 counts, bit-parallel over each vertex a's neighbours' rows, the vertices
 sharing three neighbours with a, and pairs them up; it stops after a number
 of row operations proportional to the edge count. One LR run on the
-smoothed rows decides what the screens leave. `lr_is_planar` gives the
-predicate the graph's rows, and `is_planar` and `planar_embedding` ask the
-same screens before the LR run that embeds a planar graph.
+smoothed rows decides what the screens leave, and the verdict is remembered
+under the smoothed rows packed into one int behind a leading 1 bit (n^2 + 1
+bits, so no two orders collide): it is a function of those rows, so deletion
+trials and scan lines that smooth to one core share one exact decision. Rows
+of more than 64 vertices are not remembered; the memo is emptied at 4,096.
+`lr_is_planar` gives the predicate the graph's rows, and `is_planar` and
+`planar_embedding` ask the same screens before the LR run that embeds a
+planar graph.
 
 The deletion keeps only the kept graph's 2-core H, unsmoothed: an edge
 outside it is a bridge into a pendant tree and goes untested, and each
@@ -468,15 +473,33 @@ def _screen(rows: list[int]) -> bool | None:
     return None
 
 
+# Verdicts of smoothed rows of at most _MEMO_ORDER vertices, so a large graph
+# neither builds an O(n^2)-bit key nor stays pinned; emptied at _MEMO_ENTRIES,
+# above the 3,844 distinct smoothed cores met in deciding the order-8 stream.
+_MEMO_ORDER, _MEMO_ENTRIES = 64, 4096
+_verdicts: dict[int, bool] = {}
+
+
 def _core_is_planar(core: list[int]) -> bool:
     """Planarity of a graph given as rows, such as a deletion trial's 2-core:
     planar with too few branch vertices, which smoothing never adds; else the
-    screens on its smoothed rows, then one LR run when they do not decide."""
+    verdict remembered for its smoothed rows, exact as it depends on them
+    alone, or the screens on them and one LR run when they do not decide."""
     if _too_few_branches(_branch_degrees(core)):
         return True
-    rows = _smoothed(core)
-    verdict = _screen(rows)
-    return _LRPlanarity(rows).run() if verdict is None else verdict
+    rows, key = _smoothed(core), None
+    if len(rows) <= _MEMO_ORDER:  # n rows behind a 1 bit: no two orders collide
+        key = 1
+        for row in rows:
+            key = key << len(rows) | row
+    if (verdict := _verdicts.get(key)) is None:
+        verdict = _screen(rows)
+        verdict = _LRPlanarity(rows).run() if verdict is None else verdict
+        if key is not None:
+            if len(_verdicts) >= _MEMO_ENTRIES:
+                _verdicts.clear()
+            _verdicts[key] = verdict
+    return verdict
 
 
 def lr_is_planar(g: Graph) -> bool:

@@ -20,10 +20,12 @@ from domchrom.graph6 import parse_graph6, to_graph6
 from domchrom.graphs import Graph, GraphError, complete_bipartite, from_edge_list
 from domchrom.planarity import (
     KuratowskiWitness,
+    _branch_degrees,
     _core_is_planar,
     _holds_k33,
     _screen,
     _smoothed,
+    _too_few_branches,
     is_planar,
     kuratowski_witness,
     lr_is_planar,
@@ -324,7 +326,9 @@ def test_witness_matches_deletion_oracle_on_d3_blueprints(monkeypatch):
 
 def count_deletion_work(monkeypatch):
     """Counts, from here on, of `_core_is_planar` calls (the deletion trials
-    when `_witness_by_deletion` is called directly) and of LR runs."""
+    when `_witness_by_deletion` is called directly) and of LR runs, starting
+    from an empty memo of verdicts, so they count cold work in any order."""
+    monkeypatch.setattr(planarity, "_verdicts", {})
     counts = {"trials": 0, "lr_runs": 0}
     core_is_planar, run = _core_is_planar, planarity._LRPlanarity.run
 
@@ -344,12 +348,22 @@ def count_deletion_work(monkeypatch):
 def test_deletion_trials_on_the_certify_d3_graphs_are_pinned(monkeypatch):
     graphs = [build_d3(bp)[0] for bp in d3_pool()[::4]]
     counts = count_deletion_work(monkeypatch)
-    for g in graphs:
-        planarity._witness_by_deletion(g)
+    witnesses = [planarity._witness_by_deletion(g) for g in graphs]
     # one trial per core edge took 16,118 trials and 8,608 LR runs here, the
     # block search 14,761 trials (5,486 LR runs before the screens read the
-    # smoothed rows) before it stopped at the subdivision
-    assert counts == {"trials": 10642, "lr_runs": 1059}
+    # smoothed rows) before it stopped at the subdivision, and 1,059 LR runs
+    # before the verdicts of smoothed cores were remembered
+    assert counts == {"trials": 10642, "lr_runs": 261}
+    # a second pass finds every smoothed core remembered: no screen, no LR
+    searches = []
+    holds_k33 = planarity._holds_k33
+    monkeypatch.setattr(
+        planarity, "_holds_k33", lambda rows, budget: searches.append(rows) or holds_k33(rows, budget)
+    )
+    counts.update(trials=0, lr_runs=0)
+    assert [planarity._witness_by_deletion(g) for g in graphs] == witnesses
+    assert counts == {"trials": 10642, "lr_runs": 0}
+    assert searches == []
 
 
 ORDER8 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "order8.g6"
@@ -362,9 +376,47 @@ def test_is_planar_work_on_the_nonplanar_order8_graphs_is_pinned(monkeypatch):
     counts = count_deletion_work(monkeypatch)
     for g in graphs:
         is_planar(g)
-    # 32,314 LR runs before the screens read the smoothed rows, and 82,103
-    # trials before the search stopped at the subdivision
-    assert counts == {"trials": 54386, "lr_runs": 9438}
+    # 32,314 LR runs before the screens read the smoothed rows, 82,103
+    # trials before the search stopped at the subdivision, and 9,438 LR runs
+    # before the verdicts of smoothed cores were remembered
+    assert counts == {"trials": 54386, "lr_runs": 2810}
+
+
+def test_each_smoothed_core_through_n7_gets_its_own_memo_entry(monkeypatch):
+    # the memo starts empty, so a key shared by two distinct smoothed cores
+    # would leave fewer entries than cores, and one wrong verdict
+    monkeypatch.setattr(planarity, "_verdicts", {})
+    cores = set()
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            assert lr_is_planar(g) == networkx_planar(g)
+            if not _too_few_branches(_branch_degrees(g.adj)):
+                cores.add((n, tuple(_smoothed(g.adj))))
+    assert len(planarity._verdicts) == len(cores) > 100
+
+
+def k33_placements(n: int):
+    """Rows of each K_{3,3} on n vertices with its other vertices isolated,
+    every one once: the side holding the least of the six vertices is left."""
+    for six in itertools.combinations(range(n), 6):
+        for pair in itertools.combinations(six[1:], 2):
+            left = {six[0], *pair}
+            rows = [0] * n
+            for u in left:
+                for v in set(six) - left:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+            yield rows
+
+
+def test_memo_is_emptied_when_full(monkeypatch):
+    monkeypatch.setattr(planarity, "_verdicts", {})
+    sizes = []
+    for rows in itertools.islice(k33_placements(12), 5000):
+        assert not _core_is_planar(rows)
+        sizes.append(len(planarity._verdicts))
+    assert sizes[:4096] == list(range(1, 4097))
+    assert max(sizes) == 4096 and sizes[-1] == 5000 - 4096
 
 
 def test_two_core_screen_is_sound_through_n7():
@@ -447,6 +499,8 @@ def test_large_planar_inputs_get_a_verdict(build, searches, lr_runs, monkeypatch
     assert verdict.planar and verify_embedding(g, verdict.embedding)
     assert outcomes == searches
     assert counts["lr_runs"] == lr_runs
+    # more than 64 vertices: no verdict is remembered
+    assert planarity._verdicts == {}
 
 
 def subdivided(g, times: int):

@@ -54,6 +54,35 @@ def test_lr_matches_networkx_and_witness_matches_oracle(g):
         assert verify_kuratowski(g, witness)
 
 
+@st.composite
+def graphs_sharing_cores(draw):
+    """A random graph H on k <= 8 vertices, drawn from 32 seeds so that
+    examples repeat it, and n - k <= 4 more vertices, each hung on one vertex
+    or put inside one edge; smoothing deletes or bypasses each of them, so
+    graphs of one order often share H's smoothed rows."""
+    rng = random.Random(draw(st.integers(0, 31)))
+    k = rng.randint(5, 8)
+    density = rng.choice((0.4, 0.5, 0.6, 0.7))
+    edges = {(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < density}
+    n = k + draw(st.integers(0, 12 - k))
+    for w in range(k, n):
+        if edges and draw(st.booleans()):
+            u, v = draw(st.sampled_from(sorted(edges)))
+            edges -= {(u, v)}
+            edges |= {(u, w), (v, w)}
+        else:
+            edges.add((draw(st.integers(0, w - 1)), w))
+    return from_edge_list(n, sorted(edges))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(graphs_sharing_cores())
+def test_remembered_verdicts_agree_with_networkx(g):
+    # no example empties the memo of smoothed-core verdicts, so examples
+    # meet the cores of earlier ones, of every order, in the drawn order
+    assert lr_is_planar(g) == networkx_planar(g)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(graphs(max_n=14, densities=(0.15, 0.25, 0.35, 0.5)))
 def test_screens_on_the_smoothed_rows_agree_with_networkx(g):
