@@ -57,7 +57,7 @@ def test_lr_matches_networkx_and_witness_matches_oracle(g):
 @st.composite
 def graphs_sharing_cores(draw):
     """A random graph H on k <= 8 vertices, drawn from 32 seeds so that
-    examples repeat it, and n - k <= 4 more vertices, each hung on one vertex
+    examples repeat it, and up to 12 - k more vertices, each hung on one vertex
     or put inside one edge; smoothing deletes or bypasses each of them, so
     graphs of one order often share H's smoothed rows."""
     rng = random.Random(draw(st.integers(0, 31)))
