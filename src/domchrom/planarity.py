@@ -13,43 +13,40 @@ orients it and keeps every per-edge value (endpoints, lowpoints, nesting
 depth, side, ref) in a flat list indexed by that number; a conflict pair is
 a list of four edge numbers, with -1 for none.
 
-Exact screens spare most LR runs. They read a smoothed copy of the 2-core:
-vertices of degree 1 are deleted, and each vertex of degree 2 is bypassed
-by an edge between its two neighbours, or deleted with its path when they
-are adjacent already, until every vertex left has degree >= 3 (the
-series-parallel reduction). A graph is planar exactly when its smoothed
-copy is: a bypass undoes a subdivision, a path beside an edge can be drawn
-along it, and a Kuratowski subdivision has minimum degree 2. One predicate
-decides 2-core rows: planar when fewer than 6 vertices have degree >= 3 and
-fewer than 5 degree >= 4, the branch vertices a K_{3,3} or K_5 subdivision
-needs, read before smoothing (which never raises a degree) and after; on
-the smoothed copy, non-planar past the edge bound m <= 3n - 6, n counting
-only the vertices with an edge, or when three vertices have three common
-neighbours, a K_{3,3} subgraph. That search
-counts, bit-parallel over each vertex a's neighbours' rows, the vertices
-sharing three neighbours with a, and pairs them up; it stops after a number
-of row operations proportional to the edge count. One LR run on the
-smoothed rows decides what the screens leave, and the verdict is remembered
-under the smoothed rows packed into one int behind a leading 1 bit (n^2 + 1
-bits, so no two orders collide): it is a function of those rows, so deletion
-trials and scan lines that smooth to one core share one exact decision. Rows
-of more than 64 vertices are not remembered; the memo is emptied at 4,096.
-`lr_is_planar` gives the predicate the graph's rows, and `is_planar` and
-`planar_embedding` ask the same screens before the LR run that embeds a
+`lr_is_planar` decides rows by one count, one bounded search and one LR run.
+Rows with fewer than 6 vertices of degree >= 3 and fewer than 5 of degree
+>= 4 are planar: a K_{3,3} or K_5 subdivision needs that many branch vertices.
+Other rows are smoothed: vertices of degree 1 are deleted, and each vertex
+of degree 2 is bypassed by an edge between its two neighbours, or deleted
+with its path when they are adjacent already, until every vertex left has
+degree >= 3 (the series-parallel reduction). A graph is planar exactly when
+its smoothed copy is: a bypass undoes a subdivision, a path beside an edge
+can be drawn along it, and a Kuratowski subdivision has minimum degree 2.
+The smoothed copy is non-planar when three vertices have three common
+neighbours, a K_{3,3} subgraph. That search counts, bit-parallel over each
+vertex a's neighbours' rows, the vertices sharing three neighbours with a,
+and pairs them up; it stops after a number of row operations proportional to
+the edge count. One LR run on the smoothed rows decides what the search
+leaves, and the verdict is remembered under the smoothed rows packed into
+one int behind a leading 1 bit (n^2 + 1 bits, so no two orders collide): it
+is a function of those rows, so deletion trials and scan lines that smooth
+to one core share one exact decision. Rows of more than 64 vertices are not
+remembered; the memo is emptied at 4,096. `is_planar` and `planar_embedding`
+ask the same search on the smoothed rows before the LR run that embeds a
 planar graph.
 
 The deletion keeps only the kept graph's 2-core H, unsmoothed: an edge
-outside it is a bridge into a pendant tree and goes untested, and each
-trial hands the predicate the rows the peel leaves. The edges kept, and so
-the witness, are those of deleting one edge at a time in sorted order, but far
-fewer trials reach them. A supergraph of a non-planar graph is non-planar,
-so deleting ever longer runs of the next edges stays non-planar up to the
-first edge that must be kept: runs are deleted whole in blocks that double,
-and the block that turns planar is bisected. Deleting any edge of a kept
-edge's path through degree-2 vertices peels the same core, so the whole
-path is kept with no further trial. Once the core is one subdivision plus
-disjoint cycles, the witness is read off its rows: branch vertices are the
-rows with more than two bits set, and each path is walked bit by bit
+outside it is a bridge into a pendant tree and goes untested, and each trial
+decides the rows the peel leaves as `lr_is_planar` does. The edges kept, and
+so the witness, are those of deleting one edge at a time in sorted order,
+but far fewer trials reach them. A supergraph of a non-planar graph is
+non-planar, so deleting ever longer runs of the next edges stays non-planar
+up to the first edge that must be kept: runs are deleted whole in blocks
+that double, and the block that turns planar is bisected. Deleting any edge
+of a kept edge's path through degree-2 vertices peels the same core, so the
+whole path is kept with no further trial. Once the core is one subdivision
+plus disjoint cycles, the witness is read off its rows: branch vertices are
+the rows with more than two bits set, and each path is walked bit by bit
 between them. The tests check it against
 `tests/oracles.py`, which deletes edges one networkx planarity test at a
 time and classifies its own edge list.
@@ -413,20 +410,22 @@ def _smoothed(rows: Sequence[int]) -> list[int]:
     return rows
 
 
-# Row operations the K_{3,3} search may spend per edge of the smoothed rows
-# before it leaves the decision to an LR run. The passes over neighbour rows
-# take 2 per edge in all; the rest pays for pairing. No order-8 graph or
-# deletion trial on the D(3) pool needs more than 3.7 per edge.
+# Row operations the K_{3,3} search may spend per edge of its rows before it
+# leaves the decision to an LR run. The passes over neighbour rows take 2 per
+# edge in all; the rest pays for pairing. No search in deciding and
+# certifying the order-8 graphs, or in certifying the D(3) pool, runs out.
+# The most is 4.06 per edge (65 on 16 edges): degree sums after the last check.
 _K33_WORK_PER_EDGE = 4
 
 
-def _holds_k33(rows: list[int], budget: int) -> bool | None:
+def _holds_k33(rows: list[int]) -> bool | None:
     """True when three vertices a < w < z have three common neighbours, a
     K_{3,3} subgraph; False when none do; None when the search spent more
-    than `budget` row operations first. For each a, one pass over its
-    neighbours' rows counts, bit-parallel up to three, how many of them each
-    vertex is adjacent to; the vertices w > a that reach three share three
-    neighbours with a, and are paired up among themselves."""
+    than _K33_WORK_PER_EDGE row operations per edge first. For each a, one
+    pass over its neighbours' rows counts, bit-parallel up to three, how many
+    of them each vertex is adjacent to; the vertices w > a that reach three
+    share three neighbours with a, and are paired up among themselves."""
+    budget = _K33_WORK_PER_EDGE * sum(row.bit_count() for row in rows) // 2
     work = 0
     for a, row_a in enumerate(rows):
         one = two = three = 0
@@ -458,21 +457,6 @@ def _too_few_branches(degrees: list[int]) -> bool:
     return len(degrees) < 6 and sum(d >= 4 for d in degrees) < 5
 
 
-def _screen(rows: list[int]) -> bool | None:
-    """Planarity of smoothed rows where it is decided without an LR run, else
-    None. Planar with too few branch vertices, which every vertex with an
-    edge is; non-planar past m <= 3n - 6 (n of them) or with a K_{3,3}."""
-    degrees = _branch_degrees(rows)
-    if _too_few_branches(degrees):
-        return True
-    edges2 = sum(degrees)
-    if edges2 > 6 * len(degrees) - 12:
-        return False
-    if _holds_k33(rows, _K33_WORK_PER_EDGE * edges2 // 2):
-        return False
-    return None
-
-
 # Verdicts of smoothed rows of at most _MEMO_ORDER vertices, so a large graph
 # neither builds an O(n^2)-bit key nor stays pinned; emptied at _MEMO_ENTRIES,
 # above the 3,844 distinct smoothed cores met in deciding the order-8 stream.
@@ -484,7 +468,7 @@ def _core_is_planar(core: list[int]) -> bool:
     """Planarity of a graph given as rows, such as a deletion trial's 2-core:
     planar with too few branch vertices, which smoothing never adds; else the
     verdict remembered for its smoothed rows, exact as it depends on them
-    alone, or the screens on them and one LR run when they do not decide."""
+    alone, or the K_{3,3} search on them and one LR run when it finds none."""
     if _too_few_branches(_branch_degrees(core)):
         return True
     rows, key = _smoothed(core), None
@@ -493,8 +477,7 @@ def _core_is_planar(core: list[int]) -> bool:
         for row in rows:
             key = key << len(rows) | row
     if (verdict := _verdicts.get(key)) is None:
-        verdict = _screen(rows)
-        verdict = _LRPlanarity(rows).run() if verdict is None else verdict
+        verdict = not _holds_k33(rows) and _LRPlanarity(rows).run()
         if key is not None:
             if len(_verdicts) >= _MEMO_ENTRIES:
                 _verdicts.clear()
@@ -509,8 +492,8 @@ def lr_is_planar(g: Graph) -> bool:
 
 def _embedding(g: Graph) -> tuple[tuple[int, ...], ...] | None:
     """Rotation system of g by one LR run on its rows, or None when g is not
-    planar; the screens spare that run when they find g non-planar."""
-    if _screen(_smoothed(g.adj)) is False:
+    planar; a K_{3,3} in the smoothed rows spares that run."""
+    if _holds_k33(_smoothed(g.adj)):
         return None
     lr = _LRPlanarity(g.adj)
     return lr.embed() if lr.run() else None

@@ -112,6 +112,29 @@ def test_verify_theorem1_on_dk_graph(capsys):
     assert payload["verdict"] is True and payload["colorings_checked"] >= 1
 
 
+def test_verify_theorem1_failure_exits_1_with_counterexamples(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from domchrom import cli
+
+    check_theorem1 = cli.check_theorem1
+
+    def failing(g):
+        return replace(
+            check_theorem1(g),
+            all_classes_dominated=False,
+            every_vertex_dominates_exactly_one=False,
+            counterexamples=((0, "vertex-dominates-2", 4), (1, "class-not-dominated", 2)),
+        )
+
+    monkeypatch.setattr(cli, "check_theorem1", failing)
+    code, out, _ = run_cli(capsys, ["verify", "--theorem1", D_ODD_3_9_G6])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] is False
+    assert payload["counterexamples"] == [[0, "vertex-dominates-2", 4], [1, "class-not-dominated", 2]]
+
+
 def test_verify_planar_exit_codes(capsys):
     k5 = to_graph6(
         parse_graph6("D~{")  # K5 in graph6

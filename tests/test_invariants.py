@@ -22,6 +22,7 @@ from domchrom.invariants import (
     is_dominated_coloring,
     is_dominating_set,
     is_dominator_coloring,
+    is_partition,
     is_proper_coloring,
     is_total_dominating_set,
     max_clique,
@@ -81,6 +82,22 @@ def test_predicates_refuse_vertices_outside_the_graph(v):
     for check in checks:
         with pytest.raises(GraphError, match=f"vertex {v} out of range for n=3"):
             check()
+
+
+def test_coloring_predicates_refuse_overlapping_classes_and_a_class_with_an_edge():
+    predicates = (is_partition, is_proper_coloring, is_dominator_coloring, is_dominated_coloring)
+    # C4's bipartition passes all four; adding the class {3} again passes
+    # every test but disjointness
+    assert all(p(C4, Coloring.from_classes([{0, 2}, {1, 3}])) for p in predicates)
+    overlapping = Coloring.from_classes([{0, 2}, {1, 3}, {3}])
+    assert not any(p(C4, overlapping) for p in predicates)
+    # on K4, the class {0, 1} holds an edge, though each class is dominated
+    # from outside it and {2} is dominated by every vertex
+    k4 = from_edge_list(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    assert all(p(k4, Coloring.from_classes([{0}, {1}, {2}, {3}])) for p in predicates)
+    with_an_edge = Coloring.from_classes([{0, 1}, {2}, {3}])
+    assert is_partition(k4, with_an_edge)
+    assert not any(p(k4, with_an_edge) for p in predicates[1:])
 
 
 def test_domination_number_examples():

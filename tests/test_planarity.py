@@ -2,7 +2,6 @@ import collections
 import hashlib
 import itertools
 import json
-import math
 import os
 import random
 import subprocess
@@ -23,7 +22,6 @@ from domchrom.planarity import (
     _branch_degrees,
     _core_is_planar,
     _holds_k33,
-    _screen,
     _smoothed,
     _too_few_branches,
     is_planar,
@@ -282,8 +280,9 @@ def networkx_planar(g) -> bool:
 
 def assert_witnesses_match_oracle(graphs, monkeypatch):
     """kuratowski_witness equals the one-LR-run-per-edge oracle, and every
-    verdict the screens give is networkx's: on the input graphs' 2-cores and
-    on every deletion trial's."""
+    verdict given without an LR run is networkx's: on the input graphs'
+    2-cores and on every deletion trial's, the branch count's planar verdicts
+    and each K_{3,3} the search finds in the smoothed rows."""
     cores = []
 
     def recording(core):
@@ -295,9 +294,11 @@ def assert_witnesses_match_oracle(graphs, monkeypatch):
         assert kuratowski_witness(g) == naive.kuratowski_by_deletion(g)
     assert len(cores) > len(graphs)
     for core in cores:
-        verdict = _screen(_smoothed(core))
-        if verdict is not None:
-            assert verdict == networkx_planar(Graph(len(core), core))
+        planar = networkx_planar(Graph(len(core), core))
+        if _too_few_branches(_branch_degrees(core)):
+            assert planar
+        if _holds_k33(_smoothed(core)):
+            assert not planar
 
 
 def test_witness_matches_deletion_oracle_through_n7(monkeypatch):
@@ -352,13 +353,14 @@ def test_deletion_trials_on_the_certify_d3_graphs_are_pinned(monkeypatch):
     # one trial per core edge took 16,118 trials and 8,608 LR runs here, the
     # block search 14,761 trials (5,486 LR runs before the screens read the
     # smoothed rows) before it stopped at the subdivision, and 1,059 LR runs
-    # before the verdicts of smoothed cores were remembered
-    assert counts == {"trials": 10642, "lr_runs": 261}
-    # a second pass finds every smoothed core remembered: no screen, no LR
+    # before the verdicts of smoothed cores were remembered; 261 while a
+    # branch count and an edge bound on the smoothed rows came before the search
+    assert counts == {"trials": 10642, "lr_runs": 270}
+    # a second pass finds every smoothed core remembered: no search, no LR
     searches = []
     holds_k33 = planarity._holds_k33
     monkeypatch.setattr(
-        planarity, "_holds_k33", lambda rows, budget: searches.append(rows) or holds_k33(rows, budget)
+        planarity, "_holds_k33", lambda rows: searches.append(rows) or holds_k33(rows)
     )
     counts.update(trials=0, lr_runs=0)
     assert [planarity._witness_by_deletion(g) for g in graphs] == witnesses
@@ -378,8 +380,9 @@ def test_is_planar_work_on_the_nonplanar_order8_graphs_is_pinned(monkeypatch):
         is_planar(g)
     # 32,314 LR runs before the screens read the smoothed rows, 82,103
     # trials before the search stopped at the subdivision, and 9,438 LR runs
-    # before the verdicts of smoothed cores were remembered
-    assert counts == {"trials": 54386, "lr_runs": 2810}
+    # before the verdicts of smoothed cores were remembered; 2,810 while a
+    # branch count and an edge bound on the smoothed rows came before the search
+    assert counts == {"trials": 54386, "lr_runs": 3077}
 
 
 def test_each_smoothed_core_through_n7_gets_its_own_memo_entry(monkeypatch):
@@ -419,21 +422,22 @@ def test_memo_is_emptied_when_full(monkeypatch):
     assert max(sizes) == 4096 and sizes[-1] == 5000 - 4096
 
 
-def test_two_core_screen_is_sound_through_n7():
-    # each verdict the screens give on the smoothed 2-core is networkx's, and
-    # so is each K_{3,3} that the search finds with no budget
-    verdicts = collections.Counter()
+def test_two_core_screen_is_sound_through_n7(monkeypatch):
+    # each graph's smoothed 2-core holds a K_{3,3} that the search finds only
+    # when networkx calls it non-planar; no search runs out of budget here,
+    # so it finds the same with no budget
+    outcomes = collections.Counter()
     for n in range(1, 8):
         for g in enumerate_connected(n):
             planar = networkx_planar(g)
             rows = _smoothed(g.adj)
-            if _holds_k33(rows, math.inf):
-                assert not planar
-            verdict = _screen(rows)
-            if verdict is not None:
-                assert verdict == planar
-            verdicts[verdict] += 1
-    assert verdicts.keys() == {True, False, None}
+            found = _holds_k33(rows)
+            with monkeypatch.context() as m:
+                m.setattr(planarity, "_K33_WORK_PER_EDGE", 10**9)
+                assert _holds_k33(rows) == found
+            assert not (found and planar)
+            outcomes[found, planar] += 1
+    assert outcomes.keys() == {(True, False), (False, False), (False, True)}
 
 
 def ladder(rungs: int):
@@ -443,10 +447,11 @@ def ladder(rungs: int):
 
 
 def test_deep_ladder_gets_a_verdict():
-    # smoothing from the corners removes it all, so the screens call it
-    # planar, but is_planar embeds it by an LR run whose DFS is 2,000 deep
+    # smoothing from the corners removes it all, so the search finds nothing,
+    # but is_planar embeds it by an LR run whose DFS is 2,000 deep
     g = ladder(1000)
-    assert _screen(_smoothed(g.adj)) is True
+    rows = _smoothed(g.adj)
+    assert not any(rows) and _holds_k33(rows) is False
     assert lr_is_planar(g)
     verdict = is_planar(g)
     assert verdict.planar and verify_embedding(g, verdict.embedding)
@@ -476,8 +481,9 @@ def fan_with_a_strip(k: int):
     [
         # the search ends with no K_{3,3} in 2m row operations, and LR decides
         (lambda: triangulated_grid(30), [False, False], 2),
-        # smoothed away: only the LR run that embeds it for is_planar
-        (lambda: complete_bipartite(2, 2000)[0], [], 1),
+        # too few branch vertices for lr_is_planar; is_planar's search finds
+        # nothing in its smoothed rows, and one LR run embeds it
+        (lambda: complete_bipartite(2, 2000)[0], [False], 1),
         # the search spends its budget pairing the apex's rich vertices
         (lambda: fan_with_a_strip(1000), [None, None], 2),
     ],
@@ -487,8 +493,8 @@ def test_large_planar_inputs_get_a_verdict(build, searches, lr_runs, monkeypatch
     g = build()
     outcomes = []
 
-    def recording(rows, budget):
-        outcomes.append(holds_k33(rows, budget))
+    def recording(rows):
+        outcomes.append(holds_k33(rows))
         return outcomes[-1]
 
     holds_k33 = planarity._holds_k33
