@@ -31,9 +31,8 @@ leaves, and the verdict is remembered under the smoothed rows packed into
 one int behind a leading 1 bit (n^2 + 1 bits, so no two orders collide): it
 is a function of those rows, so deletion trials and scan lines that smooth
 to one core share one exact decision. Rows of more than 64 vertices are not
-remembered; the memo is emptied at 4,096. `is_planar` and `planar_embedding`
-ask the same search on the smoothed rows before the LR run that embeds a
-planar graph.
+remembered; the memo is emptied at 4,096. Every public entry point asks
+`lr_is_planar`, then embeds a planar graph by one LR run on its own rows.
 
 The deletion keeps only the kept graph's 2-core H, unsmoothed: an edge
 outside it is a bridge into a pendant tree and goes untested, and each trial
@@ -459,7 +458,8 @@ def _too_few_branches(degrees: list[int]) -> bool:
 
 # Verdicts of smoothed rows of at most _MEMO_ORDER vertices, so a large graph
 # neither builds an O(n^2)-bit key nor stays pinned; emptied at _MEMO_ENTRIES,
-# above the 3,844 distinct smoothed cores met in deciding the order-8 stream.
+# above the 3,844 smoothed cores of the order-8 stream's verdicts and the 1,676
+# of certifying the D(3) pool; certifying the order-8 stream empties it once.
 _MEMO_ORDER, _MEMO_ENTRIES = 64, 4096
 _verdicts: dict[int, bool] = {}
 
@@ -490,21 +490,19 @@ def lr_is_planar(g: Graph) -> bool:
     return _core_is_planar(g.adj)
 
 
-def _embedding(g: Graph) -> tuple[tuple[int, ...], ...] | None:
-    """Rotation system of g by one LR run on its rows, or None when g is not
-    planar; a K_{3,3} in the smoothed rows spares that run."""
-    if _holds_k33(_smoothed(g.adj)):
-        return None
+def _rotation(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Rotation system of g, planar by `lr_is_planar`, by one LR run on its rows."""
     lr = _LRPlanarity(g.adj)
-    return lr.embed() if lr.run() else None
+    if not lr.run():
+        raise AssertionError("LR run on the rows contradicts the planar verdict; solver bug")
+    return lr.embed()
 
 
 def planar_embedding(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Rotation system of a planar graph (raises if non-planar)."""
-    rotation = _embedding(g)
-    if rotation is None:
+    if not lr_is_planar(g):
         raise GraphError("graph is not planar; no embedding exists")
-    return rotation
+    return _rotation(g)
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +669,8 @@ def _classify_subdivision(core: list[int]) -> KuratowskiWitness:
 
 def is_planar(g: Graph) -> PlanarityVerdict:
     """Planarity verdict with a self-checking certificate either way."""
-    rotation = _embedding(g)
-    if rotation is not None:
+    if lr_is_planar(g):
+        rotation = _rotation(g)
         if not verify_embedding(g, rotation):
             raise AssertionError("embedding failed Euler verification; solver bug")
         return PlanarityVerdict(True, rotation, None)

@@ -126,7 +126,9 @@ def test_embeddings_through_n7_are_pinned():
     for n in range(1, 8):
         for g in enumerate_connected(n):
             if lr_is_planar(g):
-                digest.update(repr(planar_embedding(g)).encode() + b"\n")
+                rotation = planar_embedding(g)
+                assert is_planar(g).embedding == rotation
+                digest.update(repr(rotation).encode() + b"\n")
                 count += 1
     assert count == 775
     assert digest.hexdigest() == (
@@ -143,7 +145,9 @@ def test_kuratowski_witnesses_through_n7_are_pinned():
     for n in range(1, 8):
         for g in enumerate_connected(n):
             if not lr_is_planar(g):
-                digest.update(repr(kuratowski_witness(g)).encode() + b"\n")
+                witness = kuratowski_witness(g)
+                assert is_planar(g).witness == witness
+                digest.update(repr(witness).encode() + b"\n")
                 count += 1
     assert count == 221
     assert digest.hexdigest() == (
@@ -327,8 +331,10 @@ def test_witness_matches_deletion_oracle_on_d3_blueprints(monkeypatch):
 
 def count_deletion_work(monkeypatch):
     """Counts, from here on, of `_core_is_planar` calls (the deletion trials
-    when `_witness_by_deletion` is called directly) and of LR runs, starting
-    from an empty memo of verdicts, so they count cold work in any order."""
+    when `_witness_by_deletion` is called directly, plus one verdict per graph
+    through `lr_is_planar` when a public entry point is) and of LR runs,
+    starting from an empty memo of verdicts, so they count cold work in any
+    order."""
     monkeypatch.setattr(planarity, "_verdicts", {})
     counts = {"trials": 0, "lr_runs": 0}
     core_is_planar, run = _core_is_planar, planarity._LRPlanarity.run
@@ -366,6 +372,16 @@ def test_deletion_trials_on_the_certify_d3_graphs_are_pinned(monkeypatch):
     assert [planarity._witness_by_deletion(g) for g in graphs] == witnesses
     assert counts == {"trials": 10642, "lr_runs": 0}
     assert searches == []
+    # is_planar remembers each graph's own smoothed core with its verdict, so
+    # a second is_planar pass is all memo hits too: one verdict per graph
+    # and the same trials, no search and no LR run
+    verdicts = [is_planar(g) for g in graphs]
+    assert [v.witness for v in verdicts] == witnesses
+    counts.update(trials=0, lr_runs=0)
+    searches.clear()
+    assert [is_planar(g) for g in graphs] == verdicts
+    assert counts == {"trials": 817 + 10642, "lr_runs": 0}
+    assert searches == []
 
 
 ORDER8 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "order8.g6"
@@ -381,8 +397,11 @@ def test_is_planar_work_on_the_nonplanar_order8_graphs_is_pinned(monkeypatch):
     # 32,314 LR runs before the screens read the smoothed rows, 82,103
     # trials before the search stopped at the subdivision, and 9,438 LR runs
     # before the verdicts of smoothed cores were remembered; 2,810 while a
-    # branch count and an edge bound on the smoothed rows came before the search
-    assert counts == {"trials": 54386, "lr_runs": 3077}
+    # branch count and an edge bound on the smoothed rows came before the
+    # search, and 3,077 while is_planar ran its own search and an LR run on
+    # each graph's rows instead of asking lr_is_planar, whose call per graph
+    # the trials now count (54,386 deletion trials + 5,143)
+    assert counts == {"trials": 54386 + 5143, "lr_runs": 2658}
 
 
 def test_each_smoothed_core_through_n7_gets_its_own_memo_entry(monkeypatch):
@@ -479,13 +498,13 @@ def fan_with_a_strip(k: int):
 @pytest.mark.parametrize(
     ("build", "searches", "lr_runs"),
     [
-        # the search ends with no K_{3,3} in 2m row operations, and LR decides
-        (lambda: triangulated_grid(30), [False, False], 2),
-        # too few branch vertices for lr_is_planar; is_planar's search finds
-        # nothing in its smoothed rows, and one LR run embeds it
-        (lambda: complete_bipartite(2, 2000)[0], [False], 1),
+        # the search ends with no K_{3,3} in 2m row operations, and LR
+        # decides; not remembered, so is_planar decides again, then embeds
+        (lambda: triangulated_grid(30), [False, False], 3),
+        # too few branch vertices: no search, and one LR run embeds it
+        (lambda: complete_bipartite(2, 2000)[0], [], 1),
         # the search spends its budget pairing the apex's rich vertices
-        (lambda: fan_with_a_strip(1000), [None, None], 2),
+        (lambda: fan_with_a_strip(1000), [None, None], 3),
     ],
     ids=["grid30", "K2_2000", "fan1000"],
 )
