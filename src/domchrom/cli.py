@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 from . import constructions, scan as scanmod
 from .enumeration import enumerate_connected
@@ -210,6 +212,16 @@ def _env_number(name: str, kind: type, default):
         raise GraphError(f"{name} must be a number of type {kind.__name__}, got {raw!r}") from exc
 
 
+# every line boundary str.splitlines knows; "\r\n" is one
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}])|([^{_BREAKS}]+)")
+
+
+def _iter_lines(text: str) -> Iterator[str]:
+    """The lines of text.splitlines(), one at a time, without a list of them all."""
+    return (m[1] if m[2] is None else m[2] for m in _LINE.finditer(text))
+
+
 def _cmd_scan(args) -> int:
     _check_writable(args.out, args.summary, args.checkpoint)
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
@@ -227,12 +239,13 @@ def _cmd_scan(args) -> int:
                 data = "".join(lines).encode("utf-8")
             else:
                 data = Path(args.source).read_bytes()
-                lines = data.decode("utf-8").splitlines()
+                lines = _iter_lines(data.decode("utf-8"))
         except OSError as exc:
             raise GraphError(f"cannot read source file {args.source}: {exc.strerror}") from None
         except UnicodeError as exc:
             raise GraphError(f"source {args.source} is not UTF-8 text: {exc}") from None
         source_id = scanmod.source_id_for_bytes("stdin" if args.source == "-" else "file", data)
+        del data
     summary = scanmod.scan_stream(
         lines,
         checks=checks,
@@ -306,7 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", help="CSV summary path")
     p.add_argument("--checkpoint", help="checkpoint path (resume if present)")
     p.add_argument("--strict", action="store_true", help="abort on parse errors")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (env DOMCHROM_JOBS)")
+    p.add_argument(
+        "--jobs", type=int, default=None,
+        help="1 evaluates here; more starts that many pool workers, at most one fewer "
+        "than the CPUs, and this process evaluates while it waits (env DOMCHROM_JOBS)",
+    )
     p.set_defaults(func=_cmd_scan)
     return parser
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import islice
@@ -40,10 +41,15 @@ CONJECTURE_READING = (
 )
 
 
-# Lines sent to a pool worker per task. The parent pays CPU per task, which
-# on a machine with as many CPUs as workers it takes from them: an order-8
-# scan at --jobs 2 on 2 CPUs spent 0.6-0.7 s of parent CPU at 8, 0.34 s at 64.
+# Lines per batch, whether a pool worker or the scan's own process evaluates
+# it. Each pool task costs the scan's process CPU that its own evaluations
+# would use: an order-8 scan at --jobs 2 on 2 CPUs spent 0.56-0.68 s of it
+# besides its own evaluations at 8, 0.37-0.43 s at 64.
 _POOL_BATCH = 64
+
+# Batches each process, the scan's own counted, may have in the window of
+# results not yet written.
+_BATCHES_PER_PROCESS = 4
 
 # Input lines between two checkpoint saves; one more is saved when the scan ends.
 _CHECKPOINT_EVERY = 256
@@ -222,7 +228,7 @@ def source_id_for_builtin(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Per-graph evaluation (runs in worker processes)
+# Per-graph evaluation (in pool workers and in the scan's own process)
 
 
 def _evaluate(
@@ -251,16 +257,43 @@ def _evaluate(
     return lineno, (index, line, g.n, g.edge_count(), fields)
 
 
-def _iter_results(items, checks: tuple[str, ...], jobs: int):
-    evaluate = partial(_evaluate, checks)
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1:
-        yield from map(evaluate, items)
-    else:
-        import multiprocessing  # only a pool needs it, and its import costs ~10 ms
+def _evaluate_batch(checks: tuple[str, ...], batch: list) -> list:
+    return [_evaluate(checks, item) for item in batch]
 
-        with multiprocessing.Pool(processes=workers) as pool:
-            yield from pool.imap(evaluate, items, chunksize=_POOL_BATCH)
+
+def _iter_results(items, checks: tuple[str, ...], jobs: int):
+    """(source line, payload) for each item, in input order. Past jobs 1, a
+    pool of at most jobs workers, and fewer than the CPUs, evaluates batches
+    of lines, and this process takes the next batch itself whenever the
+    oldest is not back yet."""
+    workers = min(jobs, (os.cpu_count() or 1) - 1) if jobs > 1 else 0
+    if workers < 1:
+        yield from map(partial(_evaluate, checks), items)
+        return
+    import multiprocessing  # only a pool needs it, and its import costs ~10 ms
+
+    batches = iter(lambda: list(islice(items, _POOL_BATCH)), [])
+    batch = next(batches, None)
+    window: deque = deque()  # in input order: pool tasks, and result lists made here
+    tasks = 0
+    with multiprocessing.Pool(processes=workers) as pool:
+        while window or batch is not None:
+            while batch is not None and tasks < _BATCHES_PER_PROCESS * workers:
+                window.append(pool.apply_async(_evaluate_batch, (checks, batch)))
+                tasks += 1
+                batch = next(batches, None)
+            oldest = window[0]
+            own = isinstance(oldest, list)
+            room = len(window) < _BATCHES_PER_PROCESS * (workers + 1)
+            if not (own or oldest.ready()) and batch is not None and room:
+                window.append(_evaluate_batch(checks, batch))
+                batch = next(batches, None)
+                continue
+            window.popleft()
+            if not own:
+                tasks -= 1
+                oldest = oldest.get()  # waits if need be; re-raises a worker's exception
+            yield from oldest
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +352,13 @@ def scan_stream(
     number go to the summary's skipped list. When a checkpoint exists for
     the same source, the scan resumes after the last completed record and
     reproduces the aggregates exactly; one that covers records needs their
-    file as out_path. jobs must be at least 1; more than
-    one fans the checks out to a process pool of at most os.cpu_count()
-    workers. Paths that name one file, counting the .tmp file a checkpoint
-    save writes first, are refused before any file is read or written.
+    file as out_path. jobs must be at least 1. More than one fans the
+    checks out to a process pool of at most jobs workers and one fewer than
+    os.cpu_count(), and the scan's own process evaluates lines while it
+    would otherwise wait, so a scan runs no more processes than CPUs; with
+    one CPU it runs serially. Paths that name one file, counting the .tmp
+    file a checkpoint save writes first, are refused before any file is
+    read or written.
     """
     checks_t = tuple(c for c in KNOWN_CHECKS if c in set(checks))
     unknown = set(checks) - set(KNOWN_CHECKS)

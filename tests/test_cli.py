@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from domchrom import scan as scanmod
-from domchrom.cli import main
+from domchrom.cli import _iter_lines, main
 from domchrom.constructions import DOddSpec, build_d3, build_d_odd, enumerate_d3_blueprints
 from domchrom.enumeration import are_isomorphic, enumerate_connected
 from domchrom.graph6 import parse_graph6, to_graph6
@@ -398,6 +398,34 @@ def test_scan_refuses_a_source_file_that_is_not_utf8(capsys, tmp_path):
     assert code == 2 and stdout == ""
     assert err.startswith("error:") and "not UTF-8" in err
     assert not out.exists()
+
+
+def test_source_lines_are_those_of_str_splitlines():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    breaks = ["\r\n", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+    @hypothesis.given(st.lists(st.sampled_from(["Bw", "A", " ", *breaks]) | st.characters()).map("".join))
+    def check(text):
+        assert list(_iter_lines(text)) == text.splitlines()
+
+    check()
+
+
+def test_scan_reads_a_source_file_at_every_line_boundary(capsys, tmp_path):
+    lines = [to_graph6(g) for g in enumerate_connected(5)]
+    records = []
+    for name, separators in (("plain", ["\n"]), ("mixed", ["\r\n", "\r", "\x85", "\u2028"])):
+        src = tmp_path / f"{name}.g6"
+        src.write_text(
+            "".join(line + separators[i % len(separators)] for i, line in enumerate(lines)),
+            encoding="utf-8", newline="",
+        )
+        out = tmp_path / f"{name}.jsonl"
+        assert run_cli(capsys, ["scan", "--source", str(src), "--out", str(out)])[0] == 0
+        records.append(out.read_bytes())
+    assert records[0] == records[1] and records[0].count(b"\n") == len(lines) == 21
 
 
 def test_scan_refuses_stdin_that_is_not_utf8(tmp_path):

@@ -132,26 +132,47 @@ def test_scan_jobs_deterministic(tmp_path):
     assert all(o == outputs[0] for o in outputs)
 
 
+class FakeTask:
+    """A pool task of a fake pool, evaluated in this process when its result
+    is asked for; until then it is ready only if `at_once`."""
+
+    def __init__(self, func, args, at_once):
+        self.func, self.args, self.done = func, args, at_once
+
+    def ready(self):
+        return self.done
+
+    def get(self):
+        self.done = True
+        return self.func(*self.args)
+
+
+class FakePool:
+    """Records its size and the first record index of each batch it gets."""
+
+    sizes = []
+    batches = []
+    at_once = True
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def apply_async(self, func, args):
+        self.batches.append(args[1][0][0])
+        return FakeTask(func, args, self.at_once)
+
+
 def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # the scan's own process counts as one of the CPUs
     import domchrom.scan as scan
 
-    class FakePool:
-        """Records its size and evaluates in this process."""
-
-        sizes = []
-
-        def __init__(self, processes):
-            self.sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, items, chunksize=1):
-            return map(func, items)
-
+    monkeypatch.setattr(FakePool, "sizes", [])
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     lines = lines_for(4)
     expected = []
@@ -159,11 +180,59 @@ def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
     sink = []
     scan_stream(lines, records_sink=sink, source_id="n4", jobs=100000)
-    assert FakePool.sizes == [2] and sink == expected
+    assert FakePool.sizes == [1] and sink == expected
     monkeypatch.setattr(scan.os, "cpu_count", lambda: 1)
     sink = []
     scan_stream(lines, records_sink=sink, source_id="n4", jobs=2)
-    assert FakePool.sizes == [2] and sink == expected
+    assert FakePool.sizes == [1] and sink == expected
+
+
+def test_pool_and_own_batches_write_what_a_serial_scan_writes(tmp_path, monkeypatch):
+    # order 7: 853 lines in 14 batches. Tasks that stay not ready until their
+    # result is asked for make the scan's process evaluate batches between
+    # them; tasks ready at once leave every batch to the pool
+    import domchrom.scan as scan
+
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(FakePool, "batches", [])
+    lines = lines_for(7)
+    starts = range(0, len(lines), scan._POOL_BATCH)
+    assert len(lines) == 853 and len(starts) == 14
+    monkeypatch.setattr(FakePool, "at_once", False)
+    scan_stream(lines, checks=(), source_id="n7", jobs=2)
+    pooled = list(FakePool.batches)
+    own = [start for start in starts if start not in pooled]
+    assert pooled and own
+    bad = [own[0] + 10, pooled[-1] + 3]  # one in a batch of each route
+    for index in bad:
+        lines[index] = "!!notgraph6!!"
+
+    def scan_files(tag, jobs, lines=lines, strict=False):
+        paths = [tmp_path / f"{tag}.{suffix}" for suffix in ("jsonl", "csv", "cp.json")]
+        summary = scan_stream(
+            lines, checks=KNOWN_CHECKS, out_path=paths[0], summary_path=paths[1],
+            checkpoint_path=paths[2], source_id="n7", strict=strict, jobs=jobs,
+        )
+        return summary.skipped, [path.read_bytes() for path in paths]
+
+    expected = scan_files("serial", 1)
+    assert expected[0] == sorted([index, index + 1] for index in bad)
+    for at_once in (False, True):
+        monkeypatch.setattr(FakePool, "at_once", at_once)
+        FakePool.batches.clear()
+        assert scan_files(f"pool-{at_once}", 2) == expected
+        assert FakePool.batches == (pooled if not at_once else list(starts))
+    for index in bad:
+        one_bad = lines_for(7)
+        one_bad[index] = lines[index]
+        messages = set()
+        for jobs, at_once in ((1, True), (2, False), (2, True)):
+            monkeypatch.setattr(FakePool, "at_once", at_once)
+            with pytest.raises(ScanError, match=rf"line {index + 1} \(record {index}\)") as exc:
+                scan_files(f"strict-{jobs}-{at_once}", jobs, lines=one_bad, strict=True)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
 
 
 def test_checkpoint_resume_is_byte_identical(tmp_path, monkeypatch):
