@@ -321,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true", help="abort on parse errors")
     p.add_argument(
         "--jobs", type=int, default=None,
-        help="1 evaluates here; more starts that many pool workers, at most one fewer "
-        "than the CPUs, and this process evaluates while it waits (env DOMCHROM_JOBS)",
+        help="processes that evaluate lines, this one counted, at most the CPUs; "
+        "1 starts no pool (env DOMCHROM_JOBS)",
     )
     p.set_defaults(func=_cmd_scan)
     return parser

@@ -262,11 +262,11 @@ def _evaluate_batch(checks: tuple[str, ...], batch: list) -> list:
 
 
 def _iter_results(items, checks: tuple[str, ...], jobs: int):
-    """(source line, payload) for each item, in input order. Past jobs 1, a
-    pool of at most jobs workers, and fewer than the CPUs, evaluates batches
-    of lines, and this process takes the next batch itself whenever the
-    oldest is not back yet."""
-    workers = min(jobs, (os.cpu_count() or 1) - 1) if jobs > 1 else 0
+    """(source line, payload) for each item, in input order. jobs counts
+    this process: past 1, a pool of one fewer workers, and fewer than the
+    CPUs, evaluates batches of lines, and this process takes the next batch
+    itself whenever the oldest is not back yet."""
+    workers = min(jobs, os.cpu_count() or 1) - 1
     if workers < 1:
         yield from map(partial(_evaluate, checks), items)
         return
@@ -352,11 +352,12 @@ def scan_stream(
     number go to the summary's skipped list. When a checkpoint exists for
     the same source, the scan resumes after the last completed record and
     reproduces the aggregates exactly; one that covers records needs their
-    file as out_path. jobs must be at least 1. More than one fans the
-    checks out to a process pool of at most jobs workers and one fewer than
-    os.cpu_count(), and the scan's own process evaluates lines while it
-    would otherwise wait, so a scan runs no more processes than CPUs; with
-    one CPU it runs serially. Paths that name one file, counting the .tmp
+    file as out_path. jobs must be at least 1 and counts the scan's own
+    process: more than one fans the checks out to a process pool of
+    jobs - 1 workers, at most one fewer than os.cpu_count(), and the scan's
+    own process evaluates lines while it would otherwise wait, so a scan
+    runs at most jobs processes and no more than CPUs; with one CPU it runs
+    serially. Paths that name one file, counting the .tmp
     file a checkpoint save writes first, are refused before any file is
     read or written.
     """

@@ -173,6 +173,7 @@ def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch):
     import domchrom.scan as scan
 
     monkeypatch.setattr(FakePool, "sizes", [])
+    monkeypatch.setattr(FakePool, "batches", [])
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     lines = lines_for(4)
     expected = []
@@ -185,6 +186,24 @@ def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch):
     sink = []
     scan_stream(lines, records_sink=sink, source_id="n4", jobs=2)
     assert FakePool.sizes == [1] and sink == expected
+
+
+def test_scan_jobs_count_the_scan_process(monkeypatch):
+    # with CPUs to spare, --jobs N runs N processes: N - 1 workers and this one
+    import domchrom.scan as scan
+
+    monkeypatch.setattr(FakePool, "sizes", [])
+    monkeypatch.setattr(FakePool, "batches", [])
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: 16)
+    lines = lines_for(4)
+    expected = []
+    scan_stream(lines, records_sink=expected, source_id="n4")
+    for jobs in (1, 2, 3):
+        sink = []
+        scan_stream(lines, records_sink=sink, source_id="n4", jobs=jobs)
+        assert sink == expected
+    assert FakePool.sizes == [1, 2]
 
 
 def test_pool_and_own_batches_write_what_a_serial_scan_writes(tmp_path, monkeypatch):
