@@ -3,18 +3,18 @@
 Thin adapters over the library; no invariant logic lives here. Exit codes:
 0 = success, 1 = computation succeeded but the asserted property is false,
 2 = usage or input error. Machine-readable JSON goes to stdout, diagnostics
-to stderr.
+to stderr. Graph6 text, from a file or stdin, is read as strict UTF-8.
 
-Environment: DOMCHROM_JOBS (default worker count for scan) and
-DOMCHROM_DEADLINE_SECS (budget for membership searches).
+Environment: DOMCHROM_JOBS (default --jobs of scan, its process counted)
+and DOMCHROM_DEADLINE_SECS (budget for membership searches).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
-import re
 import sys
 from itertools import islice
 from pathlib import Path
@@ -37,10 +37,24 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
+def _lines(binary, name: str) -> Iterator[str]:
+    """The lines of the UTF-8 text in a binary stream, split as str.splitlines
+    splits the whole text, read one b"\n"-ended line at a time: no UTF-8
+    sequence holds byte 0x0A, and every "\r\n" stays inside one such line."""
+    offset = 0
+    for raw in binary:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"source {name} is not UTF-8 text at byte {offset + exc.start}") from None
+        offset += len(raw)
+        yield from text.splitlines()
+
+
 def _read_graph(graph6_arg: str | None) -> Graph:
     if graph6_arg is not None and graph6_arg != "-":
         return parse_graph6(graph6_arg)
-    for line in sys.stdin:
+    for line in _lines(sys.stdin.buffer, "-"):
         line = line.strip()
         if line:
             return parse_graph6(line)
@@ -212,16 +226,6 @@ def _env_number(name: str, kind: type, default):
         raise GraphError(f"{name} must be a number of type {kind.__name__}, got {raw!r}") from exc
 
 
-# every line boundary str.splitlines knows; "\r\n" is one
-_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}])|([^{_BREAKS}]+)")
-
-
-def _iter_lines(text: str) -> Iterator[str]:
-    """The lines of text.splitlines(), one at a time, without a list of them all."""
-    return (m[1] if m[2] is None else m[2] for m in _LINE.finditer(text))
-
-
 def _cmd_scan(args) -> int:
     _check_writable(args.out, args.summary, args.checkpoint)
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
@@ -232,20 +236,15 @@ def _cmd_scan(args) -> int:
         lines = [to_graph6(g) for g in enumerate_connected(args.builtin)]
         source_id = scanmod.source_id_for_builtin(args.builtin)
     else:
-        # stdin is bound to the digest of its lines, a file to its bytes
+        # stdin and a file alike: bound to the digest of their bytes
         try:
-            if args.source == "-":
-                lines = list(sys.stdin)
-                data = "".join(lines).encode("utf-8")
-            else:
-                data = Path(args.source).read_bytes()
-                lines = _iter_lines(data.decode("utf-8"))
+            data = sys.stdin.buffer.read() if args.source == "-" else Path(args.source).read_bytes()
         except OSError as exc:
             raise GraphError(f"cannot read source file {args.source}: {exc.strerror}") from None
-        except UnicodeError as exc:
-            raise GraphError(f"source {args.source} is not UTF-8 text: {exc}") from None
+        for _ in _lines(io.BytesIO(data), args.source):  # every byte checked before any output
+            pass
+        lines = _lines(io.BytesIO(data), args.source)
         source_id = scanmod.source_id_for_bytes("stdin" if args.source == "-" else "file", data)
-        del data
     summary = scanmod.scan_stream(
         lines,
         checks=checks,

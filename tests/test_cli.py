@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from domchrom import scan as scanmod
-from domchrom.cli import _iter_lines, main
+from domchrom.cli import _lines, main
 from domchrom.constructions import DOddSpec, build_d3, build_d_odd, enumerate_d3_blueprints
 from domchrom.enumeration import are_isomorphic, enumerate_connected
 from domchrom.graph6 import parse_graph6, to_graph6
@@ -21,10 +22,8 @@ K22_G6 = to_graph6(complete_bipartite(2, 2)[0])
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
-        import io
-        import sys
-
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        # the CLI reads stdin's bytes, so stdin has a buffer, as a real one has
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin_text.encode("utf-8"))))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -404,42 +403,64 @@ def test_source_lines_are_those_of_str_splitlines():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     breaks = ["\r\n", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    # surrogates (category Cs) have no UTF-8 encoding
+    chars = st.characters(exclude_categories=("Cs",))
 
     @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
-    @hypothesis.given(st.lists(st.sampled_from(["Bw", "A", " ", *breaks]) | st.characters()).map("".join))
+    @hypothesis.given(st.lists(st.sampled_from(["Bw", "A", " ", *breaks]) | chars).map("".join))
     def check(text):
-        assert list(_iter_lines(text)) == text.splitlines()
+        assert list(_lines(io.BytesIO(text.encode("utf-8")), "text")) == text.splitlines()
 
     check()
 
 
-def test_scan_reads_a_source_file_at_every_line_boundary(capsys, tmp_path):
+def test_scan_reads_a_source_file_at_every_line_boundary(capsys, tmp_path, monkeypatch):
+    # the mixed text is also scanned from stdin, which takes the file's path
     lines = [to_graph6(g) for g in enumerate_connected(5)]
-    records = []
+    outputs = []
     for name, separators in (("plain", ["\n"]), ("mixed", ["\r\n", "\r", "\x85", "\u2028"])):
+        text = "".join(line + separators[i % len(separators)] for i, line in enumerate(lines))
         src = tmp_path / f"{name}.g6"
-        src.write_text(
-            "".join(line + separators[i % len(separators)] for i, line in enumerate(lines)),
-            encoding="utf-8", newline="",
-        )
-        out = tmp_path / f"{name}.jsonl"
-        assert run_cli(capsys, ["scan", "--source", str(src), "--out", str(out)])[0] == 0
-        records.append(out.read_bytes())
-    assert records[0] == records[1] and records[0].count(b"\n") == len(lines) == 21
+        src.write_text(text, encoding="utf-8", newline="")
+        sources = [(str(src), None), ("-", text)] if name == "mixed" else [(str(src), None)]
+        for source, stdin_text in sources:
+            out, summ = tmp_path / f"{name}{len(outputs)}.jsonl", tmp_path / f"{name}{len(outputs)}.csv"
+            argv = ["scan", "--source", source, "--out", str(out), "--summary", str(summ)]
+            assert run_cli(capsys, argv, stdin_text=stdin_text, monkeypatch=monkeypatch)[0] == 0
+            outputs.append((out.read_bytes(), summ.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2] and outputs[0][0].count(b"\n") == len(lines) == 21
+
+
+# unset, a decoding that takes any byte, and the strict one of a UTF-8 locale
+STDIN_ENCODINGS = (None, "latin-1", "utf-8:strict")
+
+
+def _run_with_stdin(argv, data, encoding):
+    # a subprocess, so that stdin is the interpreter's own under this encoding
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONIOENCODING", None)
+    if encoding is not None:
+        env["PYTHONIOENCODING"] = encoding
+    return subprocess.run(
+        [sys.executable, "-m", "domchrom", *argv], input=data, capture_output=True, timeout=60, env=env
+    )
 
 
 def test_scan_refuses_stdin_that_is_not_utf8(tmp_path):
-    # a subprocess, so that stdin is decoded as the interpreter decodes it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / "records.jsonl"
-    proc = subprocess.run(
-        [sys.executable, "-m", "domchrom", "scan", "--source", "-", "--out", str(out)],
-        input=b"Bw\n\xff\n", capture_output=True, timeout=60, env=env,
-    )
-    assert proc.returncode == 2 and proc.stdout == b""
-    assert proc.stderr.startswith(b"error:") and b"not UTF-8" in proc.stderr
-    assert not out.exists()
+    for encoding in STDIN_ENCODINGS:
+        proc = _run_with_stdin(["scan", "--source", "-", "--out", str(out)], b"Bw\n\xff\n", encoding)
+        assert proc.returncode == 2 and proc.stdout == b"", encoding
+        assert proc.stderr.startswith(b"error:") and b"not UTF-8" in proc.stderr, encoding
+        assert not out.exists()
+
+
+def test_classify_refuses_stdin_that_is_not_utf8():
+    for encoding in STDIN_ENCODINGS:
+        proc = _run_with_stdin(["classify"], b"\xff\n", encoding)
+        assert proc.returncode == 2 and proc.stdout == b"", encoding
+        assert proc.stderr == b"error: source - is not UTF-8 text at byte 0\n", encoding
 
 
 @pytest.mark.parametrize(
