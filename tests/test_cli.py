@@ -415,19 +415,18 @@ def test_source_lines_are_those_of_str_splitlines():
 
 
 def test_scan_reads_a_source_file_at_every_line_boundary(capsys, tmp_path, monkeypatch):
-    # the mixed text is also scanned from stdin, which takes the file's path
     lines = [to_graph6(g) for g in enumerate_connected(5)]
+    mixed = ["\r\n", "\r", "\x85", "\u2028"]
     outputs = []
-    for name, separators in (("plain", ["\n"]), ("mixed", ["\r\n", "\r", "\x85", "\u2028"])):
+    # the mixed text is also read from stdin, which takes the file's path
+    for name, separators, stdin in (("plain", ["\n"], False), ("mixed", mixed, False), ("stdin", mixed, True)):
         text = "".join(line + separators[i % len(separators)] for i, line in enumerate(lines))
         src = tmp_path / f"{name}.g6"
         src.write_text(text, encoding="utf-8", newline="")
-        sources = [(str(src), None), ("-", text)] if name == "mixed" else [(str(src), None)]
-        for source, stdin_text in sources:
-            out, summ = tmp_path / f"{name}{len(outputs)}.jsonl", tmp_path / f"{name}{len(outputs)}.csv"
-            argv = ["scan", "--source", source, "--out", str(out), "--summary", str(summ)]
-            assert run_cli(capsys, argv, stdin_text=stdin_text, monkeypatch=monkeypatch)[0] == 0
-            outputs.append((out.read_bytes(), summ.read_bytes()))
+        out, summ = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.csv"
+        argv = ["scan", "--source", "-" if stdin else str(src), "--out", str(out), "--summary", str(summ)]
+        assert run_cli(capsys, argv, stdin_text=text if stdin else None, monkeypatch=monkeypatch)[0] == 0
+        outputs.append((out.read_bytes(), summ.read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2] and outputs[0][0].count(b"\n") == len(lines) == 21
 
 
