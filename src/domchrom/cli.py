@@ -4,9 +4,6 @@ Thin adapters over the library; no invariant logic lives here. Exit codes:
 0 = success, 1 = computation succeeded but the asserted property is false,
 2 = usage or input error. Machine-readable JSON goes to stdout, diagnostics
 to stderr. Graph6 text, from a file or stdin, is read as strict UTF-8.
-
-Environment: DOMCHROM_JOBS (default --jobs of scan, its process counted)
-and DOMCHROM_DEADLINE_SECS (budget for membership searches).
 """
 
 from __future__ import annotations
@@ -14,11 +11,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from itertools import islice
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 from . import constructions, scan as scanmod
 from .enumeration import enumerate_connected
@@ -26,7 +22,7 @@ from .graph6 import parse_graph6, to_graph6
 from .graphs import Graph, GraphError, VertexLabeling, complete_bipartite, to_dot
 from .invariants import Coloring, compute_report, enumerate_optimal_dominator_colorings
 from .planarity import is_planar
-from .structure import DeadlineExceeded, check_theorem1, find_chain, is_in_class_d3
+from .structure import check_theorem1, find_chain, is_in_class_d3
 
 EXIT_OK = 0
 EXIT_PROPERTY_FALSE = 1
@@ -51,10 +47,17 @@ def _lines(binary, name: str) -> Iterator[str]:
         yield from text.splitlines()
 
 
+def _stdin() -> BinaryIO:
+    """stdin's bytes; sys.stdin is None when the interpreter starts with it closed."""
+    if sys.stdin is None:
+        raise GraphError("stdin is closed")
+    return sys.stdin.buffer
+
+
 def _read_graph(graph6_arg: str | None) -> Graph:
     if graph6_arg is not None and graph6_arg != "-":
         return parse_graph6(graph6_arg)
-    for line in _lines(sys.stdin.buffer, "-"):
+    for line in _lines(_stdin(), "-"):
         line = line.strip()
         if line:
             return parse_graph6(line)
@@ -187,8 +190,7 @@ def _cmd_verify(args) -> int:
             exit_code = EXIT_PROPERTY_FALSE
     if args.d3_membership:
         ran_any = True
-        deadline = _env_number("DOMCHROM_DEADLINE_SECS", float, None)
-        bp = is_in_class_d3(g, deadline_secs=deadline)
+        bp = is_in_class_d3(g)
         payload = {"check": "d3-membership", "verdict": bp is not None}
         if bp is not None:
             payload["blueprint"] = {
@@ -215,30 +217,16 @@ def _cmd_verify(args) -> int:
     return exit_code
 
 
-def _env_number(name: str, kind: type, default):
-    """The environment variable parsed as `kind`, or `default` when unset or empty."""
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise GraphError(f"{name} must be a number of type {kind.__name__}, got {raw!r}") from exc
-
-
 def _cmd_scan(args) -> int:
     _check_writable(args.out, args.summary, args.checkpoint)
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-    jobs = args.jobs
-    if jobs is None:
-        jobs = _env_number("DOMCHROM_JOBS", int, 1)
     if args.builtin is not None:
         lines = [to_graph6(g) for g in enumerate_connected(args.builtin)]
         source_id = scanmod.source_id_for_builtin(args.builtin)
     else:
         # stdin and a file alike: bound to the digest of their bytes
         try:
-            data = sys.stdin.buffer.read() if args.source == "-" else Path(args.source).read_bytes()
+            data = _stdin().read() if args.source == "-" else Path(args.source).read_bytes()
         except OSError as exc:
             raise GraphError(f"cannot read source file {args.source}: {exc.strerror}") from None
         for _ in _lines(io.BytesIO(data), args.source):  # every byte checked before any output
@@ -253,7 +241,7 @@ def _cmd_scan(args) -> int:
         checkpoint_path=args.checkpoint,
         source_id=source_id,
         strict=args.strict,
-        jobs=jobs,
+        jobs=args.jobs,
     )
     payload = summary.to_state()
     del payload["dk_first_graph6"]
@@ -318,11 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", help="CSV summary path")
     p.add_argument("--checkpoint", help="checkpoint path (resume if present)")
     p.add_argument("--strict", action="store_true", help="abort on parse errors")
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="processes that evaluate lines, this one counted, at most the CPUs; "
-        "1 starts no pool (env DOMCHROM_JOBS)",
-    )
+    p.add_argument("--jobs", type=int, default=1, help="processes that evaluate lines, "
+                   "this one counted, at most the CPUs; 1 starts no pool")
     p.set_defaults(func=_cmd_scan)
     return parser
 
@@ -336,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (DeadlineExceeded, GraphError) as exc:
+    except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

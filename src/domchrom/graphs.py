@@ -273,14 +273,14 @@ def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
     return p, q
 
 
-def to_dot(g: Graph, labeling: VertexLabeling | None = None, name: str = "G") -> str:
+def to_dot(g: Graph, labeling: VertexLabeling | None = None) -> str:
     """DOT text for visualization; role names become node labels when given."""
     node_label: dict[int, str] = {}
     if labeling is not None:
         for role, value in sorted(labeling.roles.items()):
             if isinstance(value, int):
                 node_label.setdefault(value, role)
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in range(g.n):
         if v in node_label:
             lines.append(f'  {v} [label="{node_label[v]}"];')

@@ -136,7 +136,7 @@ class InvariantReport:
     chi_d_witness: Coloring
     chi_dom_witness: Coloring | None
 
-    def record(self, graph6: str | None = None) -> dict[str, object]:
+    def record(self, graph6: str) -> dict[str, object]:
         """Flat key-value record (one CSV row / one JSON object)."""
         return {
             "n": self.n,

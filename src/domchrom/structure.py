@@ -13,8 +13,6 @@ also call, in constructions.py.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -34,10 +32,6 @@ from .invariants import (
     enumerate_optimal_dominator_colorings,
     is_proper_coloring,
 )
-
-
-class DeadlineExceeded(RuntimeError):
-    """Cooperative cancellation of a long-running membership search."""
 
 
 @dataclass(frozen=True)
@@ -170,7 +164,7 @@ def find_total_dominating_transversal(
 # Membership in the rule-based three-class family.
 
 
-def is_in_class_d3(g: Graph, deadline_secs: float | None = None) -> D3Blueprint | None:
+def is_in_class_d3(g: Graph) -> D3Blueprint | None:
     """Search all role assignments for one under which G matches the
     three-class construction rules; returns the extracted blueprint or None.
 
@@ -180,25 +174,17 @@ def is_in_class_d3(g: Graph, deadline_secs: float | None = None) -> D3Blueprint 
     is bipartite: x3, x1 in V1, y3 in V2 and the odd path from x1 to y3 in
     G - x3 would close an odd cycle. Only a connected G - x3 can match (y1
     and y2 join V1 and V2), so its unique bipartition is tried in both
-    orders. Raises DeadlineExceeded once the optional budget runs out,
-    checked per split, so never on a graph with no candidate; a NaN budget,
-    which never runs out, raises GraphError.
-    """
-    if deadline_secs is not None and math.isnan(deadline_secs):
-        raise GraphError(f"deadline_secs must be a number, got {deadline_secs!r}")
+    orders."""
     if g.n == 0 or not is_connected(g):
         raise GraphError("membership search requires a connected graph")
     if g.n < 7:
         return None
-    deadline = None if deadline_secs is None else time.monotonic() + deadline_secs
     full = (1 << g.n) - 1
     for x3 in sorted(iter_bits(_odd_cycle_meet(g)), key=lambda v: (g.degree(v), v)):
         sides = bipartition(g, full & ~(1 << x3))
         if sides is None:
             continue
         for v1_mask, v2_mask in (sides, sides[::-1]):
-            if deadline is not None and time.monotonic() > deadline:
-                raise DeadlineExceeded("membership search exceeded its deadline")
             if v1_mask.bit_count() < 3 or v2_mask.bit_count() < 3:
                 continue
             bp = _match_roles(g, x3, v1_mask, v2_mask)

@@ -38,7 +38,6 @@ from oracles import (
     vertex_dominates_block,
 )
 from domchrom.structure import (
-    DeadlineExceeded,
     _odd_cycle_meet,
     _theorem1_tally,
     check_theorem1,
@@ -362,9 +361,7 @@ def test_odd_cycle_meet_holds_every_vertex_whose_deletion_leaves_a_bipartite_gra
     assert triangle_free_odd > 50
 
 
-def test_membership_bipartitions_only_the_odd_cycle_meet(monkeypatch):
-    # over the order-8 stream, every vertex of every graph would take 88,929
-    # bipartitions of G - x3; the meet of the odd cycles leaves these
+def _count_bipartitions(monkeypatch) -> list[int]:
     calls = [0]
 
     def counted(*args):
@@ -372,17 +369,41 @@ def test_membership_bipartitions_only_the_odd_cycle_meet(monkeypatch):
         return bipartition(*args)
 
     monkeypatch.setattr(structure, "bipartition", counted)
+    return calls
+
+
+def test_membership_bipartitions_only_the_odd_cycle_meet(monkeypatch):
+    # over the order-8 stream, every vertex of every graph would take 88,929
+    # bipartitions of G - x3; the meet of the odd cycles leaves these
+    calls = _count_bipartitions(monkeypatch)
     members = [line for line in ORDER8.read_text().split()
                if is_in_class_d3(parse_graph6(line)) is not None]
     assert members == ["Gia@xw"]
     assert calls[0] == 4323
 
 
-def test_membership_of_bipartite_graphs_spends_no_budget():
-    # a bipartite G has no candidate x3, so no split reads the deadline
+def test_membership_of_bipartite_graphs_tries_no_split(monkeypatch):
+    # a bipartite G has no candidate x3, so no G - x3 is split
+    calls = _count_bipartitions(monkeypatch)
     path8 = from_edge_list(8, [(i, i + 1) for i in range(7)])
-    assert is_in_class_d3(path8, deadline_secs=-1.0) is None
-    assert is_in_class_d3(complete_bipartite(3, 4)[0], deadline_secs=-1.0) is None
+    assert is_in_class_d3(path8) is None
+    assert is_in_class_d3(complete_bipartite(3, 4)[0]) is None
+    assert calls[0] == 0
+
+
+def test_membership_work_is_bounded_by_the_odd_cycle_meet(monkeypatch):
+    # with no time budget, the work stays one bipartition per vertex on
+    # every odd cycle: all 301 of C301, and on K50,50 plus an apex joined
+    # to every vertex only the apex, the one vertex on every triangle
+    calls = _count_bipartitions(monkeypatch)
+    c301 = from_edge_list(301, [(i, (i + 1) % 301) for i in range(301)])
+    assert is_in_class_d3(c301) is None
+    assert calls[0] == 301
+    calls[0] = 0
+    apex = from_edge_list(101, [(u, v) for u, v in complete_bipartite(50, 50)[0].edges()]
+                          + [(100, v) for v in range(100)])
+    assert is_in_class_d3(apex) is None
+    assert calls[0] == 1
 
 
 def test_membership_of_d_odd_3_9():
@@ -391,34 +412,6 @@ def test_membership_of_d_odd_3_9():
     assert bp is not None
     g2, _ = build_d3(bp)
     assert are_isomorphic(godd, g2)
-
-
-def test_membership_deadline():
-    godd, _ = build_d_odd(DOddSpec(3, 13))
-    with pytest.raises(DeadlineExceeded):
-        is_in_class_d3(godd, deadline_secs=-1.0)
-    # no clock reading exceeds NaN, so it would turn the budget off
-    with pytest.raises(GraphError, match="nan"):
-        is_in_class_d3(godd, deadline_secs=float("nan"))
-
-
-def test_membership_deadline_checked_within_one_candidate(monkeypatch):
-    # every role match costs 10 s on a fake clock, against a 5 s budget: the
-    # search must stop at the next split, not after the candidate's last one
-    godd, _ = build_d_odd(DOddSpec(3, 13))
-    clock = [0.0]
-    matched = []
-
-    def slow_match(*args):
-        matched.append(args)
-        clock[0] += 10.0
-        return None
-
-    monkeypatch.setattr(structure.time, "monotonic", lambda: clock[0])
-    monkeypatch.setattr(structure, "_match_roles", slow_match)
-    with pytest.raises(DeadlineExceeded):
-        is_in_class_d3(godd, deadline_secs=5.0)
-    assert len(matched) == 1
 
 
 # ---------------------------------------------------------------------------
