@@ -71,7 +71,7 @@ class Graph:
         return tuple(iter_bits(self.adj[v]))
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):

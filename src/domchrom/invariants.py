@@ -519,8 +519,10 @@ class _ColoringState:
             v, c, old, used = trail.pop()
             members[c] ^= 1 << v
             common[c] = old
-        while len(trail) > mark:
-            self.pop()
+        while len(trail) > mark:  # the search never changes self.used
+            v, c, old, _ = trail.pop()
+            members[c] ^= 1 << v
+            common[c] = old
         return result
 
 
@@ -579,11 +581,12 @@ def _search_order(g: Graph) -> tuple[int, tuple[int, ...]]:
     """The clique bound, and the search order shared by all three modes: a
     maximum clique's vertices first, then the rest by degree descending."""
     size, clique_mask = max_clique(g)
-    clique = sorted(iter_bits(clique_mask))
-    rest = sorted(
-        (v for v in range(g.n) if not clique_mask >> v & 1),
-        key=lambda v: (-g.degree(v), v),
-    )
+    clique: list[int] = []
+    rest: list[int] = []
+    for v in range(g.n):
+        (clique if clique_mask >> v & 1 else rest).append(v)
+    degree = [row.bit_count() for row in g.adj]
+    rest.sort(key=degree.__getitem__, reverse=True)  # stable: ties stay in index order
     return size, tuple(clique + rest)
 
 

@@ -59,6 +59,10 @@ class ScanError(GraphError):
     pass
 
 
+# One encoder for every record; its output equals json.dumps with these options.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 # The per-k tables of a summary, with the type of their values.
 _DK_TABLES = (("dk_counts", int), ("dk_min_n", int), ("dk_first_graph6", str))
 
@@ -74,7 +78,7 @@ class ScanRecord:
     def to_json_line(self) -> str:
         payload = dict(index=self.index, graph6=self.graph6, n=self.n, edge_count=self.edge_count)
         payload.update(self.fields)
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return _RECORD_ENCODER.encode(payload)
 
 
 @dataclass
@@ -408,11 +412,11 @@ def scan_stream(
                     f"{records_bytes} its checkpoint covers"
                 )
             records_hash = _replay(out_path, records_bytes, cp.records_sha256, summary)
-            out_file = open(out_path, "r+", encoding="utf-8")
+            out_file = open(out_path, "r+b")
             out_file.truncate(records_bytes)
             out_file.seek(records_bytes)
         else:
-            out_file = open(out_path, "w", encoding="utf-8")
+            out_file = open(out_path, "wb")
             records_bytes = 0
 
     def save_checkpoint() -> None:
@@ -438,9 +442,8 @@ def scan_stream(
                 if records_sink is not None:
                     records_sink.append(record)
                 if out_file is not None:
-                    text = record.to_json_line() + "\n"
-                    out_file.write(text)
-                    data = text.encode("utf-8")
+                    data = (record.to_json_line() + "\n").encode("utf-8")
+                    out_file.write(data)
                     records_hash.update(data)
                     records_bytes += len(data)
             if checkpoint_path is not None and (last_index + 1) % _CHECKPOINT_EVERY == 0:
@@ -452,7 +455,7 @@ def scan_stream(
             out_file.close()
 
     if summary_path is not None:
-        Path(summary_path).write_text(summary.to_csv(), encoding="utf-8")
+        Path(summary_path).write_bytes(summary.to_csv().encode("utf-8"))
     return summary
 
 

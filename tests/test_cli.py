@@ -276,7 +276,9 @@ def test_scan_stdin_checkpoint_is_bound_to_the_stream(capsys, tmp_path, monkeypa
 
 def test_scan_output_bytes_are_pinned(capsys, tmp_path):
     # sha256 of every output of one scan with all four checks, so that a
-    # refactor of the scan path that moves any byte fails here
+    # refactor of the scan path that moves any byte fails here. Each record
+    # is the compact sorted dump of its fields, escapes included (9 of the
+    # 112 graph6 strings hold a backslash), and no output holds a "\r"
     out, summ, cp = tmp_path / "r.jsonl", tmp_path / "s.csv", tmp_path / "cp.json"
     code, stdout, _ = run_cli(
         capsys,
@@ -285,6 +287,12 @@ def test_scan_output_bytes_are_pinned(capsys, tmp_path):
     )
     assert code == 0
     outputs = (out.read_bytes(), summ.read_bytes(), cp.read_bytes(), stdout.encode("utf-8"))
+    records = outputs[0].decode("utf-8").split("\n")
+    assert records.pop() == "" and len(records) == 112
+    assert sum("\\" in line for line in records) == 9
+    for line in records:
+        assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+    assert not any(b"\r" in data for data in outputs)
     assert [hashlib.sha256(data).hexdigest() for data in outputs] == [
         "3294e6ba8dba6663288d0b095b8be424d524ac2b2addf1044758b93ded73354f",
         "11cc0ace669b745a4cdf17961e9f2d6dc0fefd38de4a7fb870d93b88bd941f0e",
@@ -399,6 +407,23 @@ def test_scan_refuses_a_source_file_that_is_not_utf8(capsys, tmp_path):
     code, stdout, err = run_cli(capsys, ["scan", "--source", str(src), "--out", str(out)])
     assert code == 2 and stdout == ""
     assert err.startswith("error:") and "not UTF-8" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fault, bad",
+    [(b"D?\xff{\n", 2), (b"\xc3\n", 0)],
+    ids=["0xff-inside-a-line", "a-sequence-cut-by-a-newline"],
+)
+def test_scan_names_the_first_byte_that_is_not_utf8(capsys, tmp_path, fault, bad):
+    # the fault follows the 21 order-5 lines; N counts from the source's start
+    lines = "".join(to_graph6(g) + "\n" for g in enumerate_connected(5)).encode("utf-8")
+    src = tmp_path / "bad.g6"
+    src.write_bytes(lines + fault)
+    out = tmp_path / "records.jsonl"
+    code, stdout, err = run_cli(capsys, ["scan", "--source", str(src), "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert err == f"error: source {src} is not UTF-8 text at byte {len(lines) + bad}\n"
     assert not out.exists()
 
 

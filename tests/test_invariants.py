@@ -531,3 +531,41 @@ def test_check_theorem1_oracle_calls_are_pinned(monkeypatch):
     calls.clear()
     assert check_theorem1(g) == cold
     assert len(calls) == 9
+
+
+def test_complete_leaves_the_state_as_it_found_it():
+    # on an empty state, and after the order's first vertex is placed in
+    # class 0, whether or not a completion exists
+    from domchrom.invariants import _ColoringState, _search_order
+
+    def snapshot(state):
+        return list(state.members), list(state.common), state.used, len(state.trail)
+
+    outcomes = set()
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            size, order = _search_order(g)
+            for mode in range(3):
+                for k in range(size, n + 1):
+                    state = _ColoringState(g, k, mode)
+                    before = snapshot(state)
+                    outcomes.add(state.complete(order, 0, 1) is None)
+                    assert snapshot(state) == before
+                    state.push(order[0], 0)
+                    before = snapshot(state)
+                    outcomes.add(state.complete(order[1:], 0, min(2, k)) is None)
+                    assert snapshot(state) == before
+    assert outcomes == {True, False}
+
+
+def test_search_order_is_the_clique_then_degree_descending():
+    from domchrom.graphs import iter_bits
+    from domchrom.invariants import _search_order
+
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    assert len(graphs) == 996
+    for g in graphs:
+        size, mask = max_clique(g)
+        rest = [v for v in range(g.n) if not mask >> v & 1]
+        order = sorted(iter_bits(mask)) + sorted(rest, key=lambda v: (-g.degree(v), v))
+        assert _search_order(g) == (size, tuple(order))
