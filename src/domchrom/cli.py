@@ -33,10 +33,6 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _not_utf8(name: str, offset: int) -> GraphError:
-    return GraphError(f"source {name} is not UTF-8 text at byte {offset}")
-
-
 def _lines(binary, name: str) -> Iterator[str]:
     """The lines of the UTF-8 text in a binary stream, split as str.splitlines
     splits the whole text, read one b"\n"-ended line at a time: no UTF-8
@@ -46,7 +42,7 @@ def _lines(binary, name: str) -> Iterator[str]:
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise _not_utf8(name, offset + exc.start) from None
+            raise GraphError(f"source {name} is not UTF-8 text at byte {offset + exc.start}") from None
         offset += len(raw)
         yield from text.splitlines()
 
@@ -233,13 +229,9 @@ def _cmd_scan(args) -> int:
             data = _stdin().read() if args.source == "-" else Path(args.source).read_bytes()
         except OSError as exc:
             raise GraphError(f"cannot read source file {args.source}: {exc.strerror}") from None
-        # every byte checked before any output; valid graph6 is ASCII, which
-        # needs no decoded copy of the source
-        if not data.isascii():
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise _not_utf8(args.source, exc.start) from None
+        if not data.isascii():  # ASCII bytes are always UTF-8
+            for _ in _lines(io.BytesIO(data), args.source):  # every byte checked before any output
+                pass
         lines = _lines(io.BytesIO(data), args.source)
         source_id = scanmod.source_id_for_bytes("stdin" if args.source == "-" else "file", data)
     summary = scanmod.scan_stream(

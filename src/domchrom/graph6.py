@@ -35,9 +35,7 @@ class Graph6Error(GraphError):
 
 
 def _check_chars(data: str) -> None:
-    if "?" <= min(data) and max(data) <= "~":
-        return
-    for i, ch in enumerate(data):  # only to name the first bad character
+    for i, ch in enumerate(data):
         o = ord(ch)
         if not (63 <= o <= 126):
             raise Graph6Error(f"character {ch!r} outside graph6 range 63..126", offset=i)
