@@ -91,15 +91,12 @@ def _refined_cells(g: Graph) -> list[int]:
                 split.append(cell)
                 continue
             parts: dict[int, int] = {}
-            x = cell
-            while x:
-                low = x & -x
-                x ^= low
-                row = adj[low.bit_length() - 1]
+            for v in iter_bits(cell):
+                row = adj[v]
                 key = 0
                 for s in splitters:
                     key = key << width | (row & s).bit_count()
-                parts[key] = parts.get(key, 0) | low
+                parts[key] = parts.get(key, 0) | 1 << v
             if len(parts) == 1:
                 split.append(cell)
                 continue
@@ -164,11 +161,7 @@ def _labelled_search(g: Graph) -> tuple[int, list[list[int]], list[int]]:
         rest = cells[1:]
         top = -1
         tied: list[int] = []
-        x = first
-        while x:
-            low = x & -x
-            x ^= low
-            v = low.bit_length() - 1
+        for v in iter_bits(first):
             # v's row when each later cell lists its non-neighbours of v first;
             # v is not its own neighbour, so first & a lies in the rest of its cell
             a = adj[v]
@@ -294,11 +287,8 @@ def _deletion_screen(adj: Sequence[int], tables: _Tables, nbhd: int) -> list[int
     top = nbhd.bit_count()
     above = at_least[top + 1] | nbhd & at_least[top]
     level = (at_least[top] | nbhd & at_least[top - 1]) & ~above
-    x = above
-    while x:
-        low = x & -x
-        x ^= low
-        for c in comps[low.bit_length() - 1]:
+    for v in iter_bits(above):
+        for c in comps[v]:
             if not c & nbhd:
                 break
         else:
@@ -306,11 +296,8 @@ def _deletion_screen(adj: Sequence[int], tables: _Tables, nbhd: int) -> list[int
     tied = []
     if level:
         top_sum = top + sum(deg[u] for u in iter_bits(nbhd))
-        while level:
-            low = level & -level
-            level ^= low
-            v = low.bit_length() - 1
-            total = nsum[v] + (adj[v] & nbhd).bit_count() + (top if nbhd & low else 0)
+        for v in iter_bits(level):
+            total = nsum[v] + (adj[v] & nbhd).bit_count() + (top if nbhd >> v & 1 else 0)
             if total < top_sum:
                 continue
             for c in comps[v]:

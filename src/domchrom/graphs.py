@@ -4,6 +4,8 @@ Vertices are dense indices 0..n-1. Adjacency is stored as one Python int
 bitmask per vertex, which gives the 64-vertex fast path and the unbounded
 fallback in a single representation (Python ints are arbitrary precision).
 Graphs are immutable after construction and safe to share between workers.
+A mask's vertices are read by `iter_bits`, which looks up masks below 2^16
+in two byte tables and walks wider ones lowest bit first.
 """
 
 from __future__ import annotations
@@ -68,18 +70,15 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self.adj[v]))
+        return iter_bits(self.adj[v])
 
     def edge_count(self) -> int:
         return sum(map(int.bit_count, self.adj)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):
-            w = self.adj[v] >> (v + 1) << (v + 1)
-            while w:
-                u = (w & -w).bit_length() - 1
+            for u in iter_bits(self.adj[v] & -(2 << v)):
                 yield (v, u)
-                w &= w - 1
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(row.bit_count() for row in self.adj))
@@ -87,6 +86,8 @@ class Graph:
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph, vertices reindexed in the given (sorted) order."""
         vs = sorted(set(vertices))
+        if vs and not (0 <= vs[0] and vs[-1] < self.n):
+            raise GraphError(f"subgraph vertices must lie in 0..{self.n - 1}, got {vs}")
         pos = {v: i for i, v in enumerate(vs)}
         rows = []
         for v in vs:
@@ -100,6 +101,8 @@ class Graph:
     def permuted(self, perm: Iterable[int]) -> "Graph":
         """Relabeled copy: vertex v of self becomes perm[v]."""
         p = tuple(perm)
+        if sorted(p) != list(range(self.n)):
+            raise GraphError(f"{list(p)} is not a permutation of 0..{self.n - 1}")
         rows = [0] * self.n
         for v in range(self.n):
             row = 0
@@ -109,11 +112,25 @@ class Graph:
         return Graph(self.n, rows, _checked=True)
 
 
-def iter_bits(mask: int) -> Iterator[int]:
+# the set bits of each byte, and the same positions shifted up by 8
+_BYTE_BITS = tuple(tuple(v for v in range(8) if byte >> v & 1) for byte in range(256))
+_HIGH_BYTE_BITS = tuple(tuple(v + 8 for v in bits) for bits in _BYTE_BITS)
+
+
+def iter_bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of a non-negative mask, ascending, as
+    a tuple at every width: below 2^16 from the byte tables, above by a
+    lowest-bit loop."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    if mask < 65536:
+        return _BYTE_BITS[mask & 255] + _HIGH_BYTE_BITS[mask >> 8]
+    bits = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
 
 
 def mask_of(vertices: Iterable[int]) -> int:

@@ -78,7 +78,7 @@ class Coloring:
 
     @staticmethod
     def from_masks(masks: Iterable[int]) -> "Coloring":
-        return Coloring.from_classes(tuple(iter_bits(m)) for m in masks if m)
+        return Coloring.from_classes(iter_bits(m) for m in masks if m)
 
     @property
     def k(self) -> int:
@@ -284,17 +284,14 @@ def _cover_within(
                 break
         left -= 1
         best = -1
-        coverers = covers[(u & -u).bit_length() - 1] & allowed
-        while coverers:
-            w = coverers & -coverers
-            coverers ^= w
-            rest = uncovered & ~covers[w.bit_length() - 1]
+        for w in iter_bits(covers[(u & -u).bit_length() - 1] & allowed):
+            rest = uncovered & ~covers[w]
             rest_count = rest.bit_count()
             if rest_count <= top * left:
                 if rest_count < count:
                     count = rest_count
                     best = len(stack)
-                stack.append((rest, rest_count, chosen | w, left))
+                stack.append((rest, rest_count, chosen | 1 << w, left))
         if best >= 0:
             stack.append(stack.pop(best))
     return -1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
-from domchrom.graphs import Graph, GraphError, is_connected, iter_bits
+from domchrom.graphs import Graph, GraphError, is_connected
 from domchrom.planarity import KuratowskiWitness
 
 
@@ -21,10 +21,15 @@ from domchrom.planarity import KuratowskiWitness
 # Predicates, straight from the definitions.
 
 
+def _members(g: Graph, mask: int) -> list[int]:
+    """The vertices of g whose bits are set in mask, read one by one."""
+    return [v for v in range(g.n) if mask >> v & 1]
+
+
 def dominates(g: Graph, d_mask: int) -> bool:
     """Every vertex is in the set or adjacent to it."""
     covered = d_mask
-    for v in iter_bits(d_mask):
+    for v in _members(g, d_mask):
         covered |= g.adj[v]
     return covered == (1 << g.n) - 1
 
@@ -32,14 +37,14 @@ def dominates(g: Graph, d_mask: int) -> bool:
 def totally_dominates(g: Graph, d_mask: int) -> bool:
     """Every vertex (members included) has a neighbor in the set."""
     covered = 0
-    for v in iter_bits(d_mask):
+    for v in _members(g, d_mask):
         covered |= g.adj[v]
     return covered == (1 << g.n) - 1
 
 
 def blocks_are_independent(g: Graph, blocks: tuple[int, ...]) -> bool:
     for block in blocks:
-        for v in iter_bits(block):
+        for v in _members(g, block):
             if g.adj[v] & block:
                 return False
     return True
@@ -190,7 +195,7 @@ def _refine_colors(g: Graph) -> list[int]:
     colors = [ids[c] for c in colors]
     while True:
         sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in iter_bits(g.adj[v]))))
+            (colors[v], tuple(sorted(colors[u] for u in _members(g, g.adj[v]))))
             for v in range(g.n)
         ]
         ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -272,7 +277,7 @@ def _contract(g: Graph, u: int, v: int) -> Graph:
         merged = g.adj[w]
         if w == u:
             merged |= g.adj[v]
-        for x in iter_bits(merged):
+        for x in _members(g, merged):
             if x == v:
                 x = u
             if x != w:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from domchrom.graphs import (
@@ -10,6 +12,7 @@ from domchrom.graphs import (
     connected_component_masks,
     from_edge_list,
     is_connected,
+    iter_bits,
     to_dot,
 )
 
@@ -172,3 +175,43 @@ def test_subgraph_and_permuted():
     p = g.permuted([3, 2, 1, 0])
     assert p.edge_count() == g.edge_count()
     assert p.has_edge(3, 2) and p.has_edge(1, 0)
+
+
+def _path3() -> Graph:
+    return from_edge_list(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1, 3], [0, 1, -1], [0, 1], [0, 1, 2, 3]])
+def test_permuted_refuses_a_list_that_is_not_a_permutation(perm):
+    with pytest.raises(GraphError, match="not a permutation"):
+        _path3().permuted(perm)
+
+
+def test_subgraph_refuses_a_negative_vertex():
+    with pytest.raises(GraphError, match="must lie in 0..2"):
+        _path3().subgraph([-1, 0])
+
+
+def test_subgraph_refuses_a_vertex_past_the_last():
+    with pytest.raises(GraphError, match="must lie in 0..2"):
+        _path3().subgraph([5])
+
+
+def _set_bits(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def test_iter_bits_lists_the_set_bits_ascending_as_a_tuple():
+    # every mask below 2^17 covers both byte tables, the 255/256 and
+    # 65535/65536 boundaries and the first masks of the wide loop
+    for mask in range(1 << 17):
+        bits = iter_bits(mask)
+        assert type(bits) is tuple and bits == _set_bits(mask), mask
+    rng = random.Random(39)
+    for i in range(1000):
+        if i % 2:
+            mask = rng.getrandbits(rng.randint(1, 300))
+        else:
+            mask = sum(1 << rng.randrange(300) for _ in range(rng.randint(1, 6)))
+        bits = iter_bits(mask)
+        assert type(bits) is tuple and bits == _set_bits(mask), mask
